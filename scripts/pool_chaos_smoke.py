@@ -7,9 +7,13 @@ memory disabled (``REPRO_DISABLE_SHM=1``) and a deliberately small
 admission envelope, then:
 
 1. fills the (shared) disk cache with warm results;
-2. fires a seeded 160-request storm from 10 threads — mixed
+2. fires a seeded storm from 10 threads — mixed
    ``interactive``/``bulk`` priorities, a slice of tight deadlines —
-   while a killer thread SIGKILLs a live worker twice mid-storm;
+   while a killer thread SIGKILLs a live worker twice mid-storm.  The
+   storm sends at least 240 requests and keeps going until both kills
+   have landed and every restarted worker has answered requests
+   (bounded by ``STORM_TIMEOUT_S``), so a restarted worker is never
+   left without the traffic its limiter needs;
 3. keeps a saturating brownout phase running until at least one
    Monte-Carlo response comes back degraded (honestly stamped).
 
@@ -57,7 +61,8 @@ from repro.service.client import (  # noqa: E402
 )
 from repro.service.resilience import RetryPolicy  # noqa: E402
 
-STORM_REQUESTS = 240
+STORM_REQUESTS = 240     # the storm sends at least this many requests
+STORM_TIMEOUT_S = 60.0   # and stops after this long whatever happened
 STORM_THREADS = 10
 RING_SIZES = (3, 4, 5, 6, 7)
 P99_BOUND_S = 12.0
@@ -142,26 +147,48 @@ def warm_disk_cache(url):
     return len(RING_SIZES)
 
 
+def every_worker_served(stats, killed):
+    """True once every pool member is live, none is a killed process,
+    and each one's limiter has seen requests since it (re)started."""
+    pids = (stats.get("pool") or {}).get("pids") or {}
+    blocks = worker_blocks(stats)
+    return len(blocks) == len(pids) and all(
+        block.get("pid") not in killed
+        and ((block.get("overload") or {}).get("limiter") or {}).get(
+            "samples", 0) > 0
+        for block in blocks
+    )
+
+
 def storm_with_kills(url):
     """Seeded storm; a killer thread SIGKILLs a live worker twice."""
     graphs = {size: muller_ring_tsg(size) for size in RING_SIZES}
-    tasks = list(range(STORM_REQUESTS))
     lock = threading.Lock()
+    issued = [0]
     outcomes = {}
     durations = []
     killed = []
     storm_done = threading.Event()
+    # Set once both kills landed and every restarted worker answered.
+    settled = threading.Event()
+    deadline = time.monotonic() + STORM_TIMEOUT_S
+
+    def next_index():
+        with lock:
+            if time.monotonic() >= deadline or (
+                issued[0] >= STORM_REQUESTS and settled.is_set()
+            ):
+                return None
+            issued[0] += 1
+            return issued[0] - 1
 
     def killer():
         probe = make_client(url, seed=1234, retries=2)
         strikes = 0
+        # The storm runs until both strikes landed, so each one hits
+        # it while it is still thick and killed in-flight work is
+        # observed by the invariants.
         while strikes < 2 and not storm_done.wait(0.75):
-            with lock:
-                remaining = len(tasks)
-            # Only strike while the storm is still thick, so killed
-            # in-flight work is actually observed by the invariants.
-            if remaining < STORM_REQUESTS // 4:
-                return
             try:
                 pids = probe.stats()["pool"]["pids"]
             except (ServiceError, KeyError, OSError):
@@ -181,14 +208,20 @@ def storm_with_kills(url):
             # Let the supervisor restart before the second strike.
             if storm_done.wait(2.0):
                 return
+        while not storm_done.wait(0.25):
+            try:
+                if every_worker_served(probe.stats(), killed):
+                    settled.set()
+                    return
+            except (ServiceError, OSError):
+                continue
 
     def run_worker(worker_index):
         client = make_client(url, seed=worker_index)
         while True:
-            with lock:
-                if not tasks:
-                    return
-                index = tasks.pop()
+            index = next_index()
+            if index is None:
+                return
             graph = graphs[RING_SIZES[index % len(RING_SIZES)]]
             tight = index % 6 == 0
             priority = ("interactive", "normal", "bulk")[index % 3]
@@ -239,12 +272,12 @@ def storm_with_kills(url):
     storm_done.set()
     chaos_thread.join(5)
 
-    check(len(durations) == STORM_REQUESTS,
-          "lost requests: %d answered" % len(durations))
+    check(len(durations) == issued[0],
+          "lost requests: %d of %d answered" % (len(durations), issued[0]))
     unbounded = {k: v for k, v in outcomes.items()
                  if k.startswith("UNBOUNDED")}
     check(not unbounded, "unbounded failures: %r" % unbounded)
-    check(outcomes.get("ok", 0) >= STORM_REQUESTS // 3,
+    check(outcomes.get("ok", 0) >= len(durations) // 3,
           "too few successes: %r" % outcomes)
     durations.sort()
     p99 = durations[int(0.99 * (len(durations) - 1))]
@@ -252,6 +285,9 @@ def storm_with_kills(url):
           "p99 latency %.2fs exceeds %.1fs bound (outcomes %r)"
           % (p99, P99_BOUND_S, outcomes))
     check(killed, "killer thread never SIGKILLed a worker")
+    check(settled.is_set(),
+          "storm hit its %.0fs bound before both kills landed and every "
+          "restarted worker answered (killed %r)" % (STORM_TIMEOUT_S, killed))
     return outcomes, p99, killed
 
 

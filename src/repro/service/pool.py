@@ -49,11 +49,17 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SignalGraphError
-from .server import ServiceConfig, ServiceServer
+from .server import (
+    POST_ENDPOINTS,
+    KeepAliveHandler,
+    RequestError,
+    ServiceConfig,
+    ServiceServer,
+)
 
 #: restart backoff schedule: base * 2^n seconds, capped; the streak
 #: resets after a worker stays up for STABLE_UPTIME seconds.
@@ -545,9 +551,8 @@ _RETURN_HEADERS = ("Retry-After", "Content-Type", "X-Worker-Id",
                    "traceparent")
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(KeepAliveHandler):
     server_version = "repro-router"
-    protocol_version = "HTTP/1.1"
 
     @property
     def router(self) -> "RouterServer":
@@ -561,14 +566,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
         content_type: str = "application/json",
     ) -> None:
-        self.send_response(status)
         headers = dict(headers or {})
-        headers.setdefault("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        content_type = headers.pop("Content-Type", content_type)
+        self.send_whole(status, body, headers, content_type)
 
     def _reply_json(self, status: int, payload: Dict[str, Any],
                     headers: Optional[Dict[str, str]] = None) -> None:
@@ -602,15 +602,14 @@ class _RouterHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         path = self.path.split("?", 1)[0]
-        if path not in ("/analyze", "/montecarlo"):
+        if path not in POST_ENDPOINTS:
             self._reply_error(404, "NotFound", "no such endpoint: %s" % path)
             return
         try:
-            length = int(self.headers.get("Content-Length"))
-        except (TypeError, ValueError):
-            self._reply_error(411, "LengthRequired", "Content-Length required")
+            body = self.read_body()
+        except RequestError as error:
+            self._reply_error(error.status, error.kind, str(error))
             return
-        body = self.rfile.read(length)
         headers = {
             name: self.headers[name]
             for name in _FORWARD_HEADERS
@@ -668,6 +667,7 @@ class RouterServer(ThreadingHTTPServer):
     def __init__(self, config: ServiceConfig, pool: WorkerPool):
         self.pool = pool
         self.quiet = config.quiet
+        self.max_body_bytes = config.max_body_bytes
         self.probe_timeout = min(5.0, config.request_timeout)
         self.hedge_ms = config.hedge_ms
         self._transports: Dict[int, Any] = {}

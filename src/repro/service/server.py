@@ -51,12 +51,16 @@ Bounded failure behaviour (:mod:`repro.service.resilience`):
 * ``--chaos SPEC`` arms the deterministic fault-injection harness
   (:mod:`repro.service.faults`) for resilience testing.
 
-Work sharing: ``/analyze`` and ``/montecarlo`` responses are memoised
-in the process-wide result cache keyed by content hash + parameters;
-compiled topologies are shared through
+Work sharing: the four POST endpoints' responses are memoised in the
+process-wide result cache keyed by content hash + parameters, and a
+byte-identical repeat body finds its result key by a digest of its raw
+bytes, before any decoding; compiled topologies are shared through
 :func:`~repro.service.cache.shared_compiled_graph`; and concurrent
 λ-only Monte-Carlo requests over one topology are merged into single
 batched kernel calls by the :class:`~repro.service.queue.RequestCoalescer`.
+
+Every response leaves in one ``send()`` on a ``TCP_NODELAY`` socket
+(:class:`KeepAliveHandler`, shared with the router).
 
 The daemon shuts down cleanly on SIGINT/SIGTERM: the listener closes,
 in-flight requests *drain* (finish writing their responses) for up to
@@ -66,6 +70,7 @@ in-flight requests *drain* (finish writing their responses) for up to
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -152,6 +157,13 @@ class RequestError(Exception):
         self.kind = kind
 
 
+class _AnswerRecord(threading.local):
+    """Per-thread notes that :meth:`AnalysisService.answer` collects."""
+
+    key: Optional[str] = None     # result key the handler hit or stored
+    missed: Optional[str] = None  # result key answer() already missed on
+
+
 @dataclass
 class ServiceConfig:
     """Daemon knobs (all reachable from ``repro serve`` flags)."""
@@ -193,6 +205,12 @@ class AnalysisService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.results = result_cache()
+        # Digest-first warm hits: (endpoint, sha256 of the raw body) ->
+        # (result key, the fields read before compute).  It points into
+        # self.results and holds no answer of its own, so that cache's
+        # bound, disk tier and hit/miss counters still decide each hit.
+        self.digests = LRUCache(max_entries=self.results.memory.max_entries)
+        self._record = _AnswerRecord()
         # One reentrant lock shared by every component's counter block:
         # a /stats or /metrics scrape takes it once and reads all
         # counters from the same instant (no shed count from mid-storm
@@ -489,6 +507,57 @@ class AnalysisService:
         return Deadline.after_ms(timeout_ms)
 
     # ------------------------------------------------------------------
+    # the result cache, shared by the four POST handlers
+    # ------------------------------------------------------------------
+    def _cached(self, key: str) -> Optional[Dict[str, Any]]:
+        """``key``'s cached answer stamped ``cached: True``, or None.
+
+        A hit names ``key`` as the answer's result key (see
+        :meth:`answer`).
+        """
+        record = self._record
+        if key == record.missed:
+            # answer() looked this key up a moment ago and missed; a
+            # second lookup would count that miss twice.
+            return None
+        cached = self.results.get(key)
+        if cached is None:
+            return None
+        record.key = key
+        return dict(cached, cached=True)
+
+    def _store(self, key: str, response: Dict[str, Any]) -> Dict[str, Any]:
+        """Cache a full-fidelity answer under ``key``; return it stamped
+        ``cached: False``."""
+        self.results.put(key, response)
+        self._record.key = key
+        return dict(response, cached=False)
+
+    def answer(
+        self, method, decode, deadline: Deadline, known: Optional[str] = None
+    ) -> Tuple[Dict[str, Any], Optional[str]]:
+        """Run one POST handler, trying the result key ``known`` first.
+
+        ``known`` is the result key a byte-identical body was answered
+        under before.  While the result cache still holds it, that
+        answer comes back and ``decode`` never runs; otherwise
+        ``method(decode(), deadline)`` runs as usual.  Returns the
+        answer and the result key it came from or went into, or None
+        for an answer that was not cached (a degraded Monte-Carlo run).
+        """
+        record = self._record
+        record.key = record.missed = None
+        try:
+            if known is not None:
+                cached = self._cached(known)
+                if cached is not None:
+                    return cached, known
+                record.missed = known
+            return method(decode(), deadline), record.key
+        finally:
+            record.key = record.missed = None
+
+    # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
     def handle_analyze(
@@ -510,9 +579,9 @@ class AnalysisService:
         key = analysis_key(
             graph, "analyze", periods=periods, kernel=kernel, backtrack=backtrack
         )
-        cached = self.results.get(key)
+        cached = self._cached(key)
         if cached is not None:
-            return dict(cached, cached=True)
+            return cached
         deadline.check("pre-compile")
         result = compute_cycle_time(
             graph,
@@ -539,8 +608,7 @@ class AnalysisService:
             "periods": result.periods,
             "distances": len(result.distances),
         }
-        self.results.put(key, response)
-        return dict(response, cached=False)
+        return self._store(key, response)
 
     def handle_montecarlo(
         self, payload: Dict[str, Any], deadline: Optional[Deadline] = None
@@ -574,10 +642,10 @@ class AnalysisService:
             track_criticality=track,
             bins=bins,
         )
-        cached = self.results.get(key)
+        cached = self._cached(key)
         if cached is not None:
             # A cached full-fidelity answer always beats degrading.
-            return dict(cached, cached=True)
+            return cached
         requested = samples
         if self.brownout is not None:
             # Brownout: under sustained pressure serve a smaller,
@@ -654,8 +722,7 @@ class AnalysisService:
                 "requested": requested, "served": samples,
             }
             return dict(response, cached=False)
-        self.results.put(key, response)
-        return dict(response, cached=False)
+        return self._store(key, response)
 
     def _decode_ptime_graph(self, payload: Dict[str, Any]) -> PTimeSignalGraph:
         document = payload.get("graph")
@@ -717,9 +784,9 @@ class AnalysisService:
             horizon=horizon,
             rate=None if rate is None else bound_token(rate),
         )
-        cached = self.results.get(key)
+        cached = self._cached(key)
         if cached is not None:
-            return dict(cached, cached=True)
+            return cached
         deadline.check("pre-analysis")
         response: Dict[str, Any] = {
             "graph": ptg.name,
@@ -785,8 +852,7 @@ class AnalysisService:
                     }
                     for pair, value in trajectory.induced_delays(ptg).items()
                 ]
-        self.results.put(key, response)
-        return dict(response, cached=False)
+        return self._store(key, response)
 
     @staticmethod
     def _netlist_delay_field(payload: Dict[str, Any], name: str, default):
@@ -865,9 +931,9 @@ class AnalysisService:
             extraction=extraction,
             method=method,
         )
-        cached = self.results.get(key)
+        cached = self._cached(key)
         if cached is not None:
-            return dict(cached, cached=True)
+            return cached
         deadline.check("pre-parse")
         _, report = analyze_source(
             source,
@@ -887,8 +953,7 @@ class AnalysisService:
             cycle_time_float=float(report["cycle_time"]),
             source_hash=netlist_source_hash(source),
         )
-        self.results.put(key, response)
-        return dict(response, cached=False)
+        return self._store(key, response)
 
     def handle_stats(self) -> Dict[str, Any]:
         # Every component snapshot re-acquires the shared RLock, so the
@@ -949,18 +1014,132 @@ class AnalysisService:
         return _registry().render()
 
 
+#: POST endpoint -> the AnalysisService handler behind it.
+_POST_HANDLERS = {
+    "/analyze": "handle_analyze",
+    "/montecarlo": "handle_montecarlo",
+    "/ptime": "handle_ptime",
+    "/netlist": "handle_netlist",
+}
+
+#: The POST endpoints; the router forwards exactly this set.
+POST_ENDPOINTS = frozenset(_POST_HANDLERS)
+
 #: Endpoint label values with bounded cardinality: anything outside
 #: this set is labelled "other" so scanned garbage paths cannot mint
 #: unbounded metric series.
-_KNOWN_ENDPOINTS = frozenset(
-    ("/analyze", "/montecarlo", "/ptime", "/netlist", "/stats", "/healthz",
-     "/readyz", "/metrics")
+_KNOWN_ENDPOINTS = POST_ENDPOINTS | frozenset(
+    ("/stats", "/healthz", "/readyz", "/metrics")
 )
 
+#: Payload fields the POST path reads before compute.  The digest step
+#: keeps them, so a digest hit needs no decode.
+_PRECOMPUTE_FIELDS = ("timeout_ms", "priority")
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-service"
+
+def _decode_payload(raw: bytes) -> Dict[str, Any]:
+    try:
+        payload = json.loads(raw)
+    except (ValueError, UnicodeDecodeError):
+        raise RequestError("request body is not valid JSON")
+    if not isinstance(payload, dict):
+        raise RequestError("request body must be a JSON object")
+    return payload
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 plumbing shared by the daemon and the router.
+
+    * :meth:`send_whole` writes the status line, headers and body in
+      one ``send()`` on a ``TCP_NODELAY`` socket.  Written in two
+      pieces with Nagle's algorithm on, the body would wait for the
+      peer's delayed ACK (~40 ms on Linux).  NODELAY also keeps the
+      stdlib's own two-write ``send_error`` replies prompt.
+    * A reply sent before the request body was read keeps the
+      connection in step: a body with a valid Content-Length within
+      :attr:`max_body_bytes` is drained first, any other body gets
+      ``Connection: close``.  Its bytes are never parsed as the next
+      request line.
+
+    The server object supplies ``max_body_bytes``.
+    """
+
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    _body_read = False
+
+    @property
+    def max_body_bytes(self) -> int:
+        return self.server.max_body_bytes  # type: ignore[attr-defined]
+
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
+    def _content_length(self) -> Optional[int]:
+        try:
+            length = int(self.headers.get("Content-Length"))
+        except (TypeError, ValueError):
+            return None
+        return length if length >= 0 else None
+
+    def read_body(self) -> bytes:
+        """The request body: 411 without a valid Content-Length, 413
+        past :attr:`max_body_bytes`."""
+        length = self._content_length()
+        if length is None:
+            raise RequestError("Content-Length required", status=411,
+                               kind="LengthRequired")
+        if length > self.max_body_bytes:
+            raise RequestError(
+                "request body exceeds %d bytes" % self.max_body_bytes,
+                status=413, kind="PayloadTooLarge",
+            )
+        self._body_read = True
+        return self.rfile.read(length)
+
+    def _settle_body(self) -> None:
+        """Drain a body nobody read, or mark the connection to close."""
+        if self._body_read or self.close_connection:
+            return
+        self._body_read = True
+        framed = "Transfer-Encoding" in self.headers
+        if not (framed or self.command == "POST"
+                or "Content-Length" in self.headers):
+            return  # no body
+        length = self._content_length()
+        if not framed and length is not None and length <= self.max_body_bytes:
+            self.rfile.read(length)
+        else:
+            self.close_connection = True
+
+    def send_whole(
+        self,
+        status: int,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+        content_type: str = "application/json",
+    ) -> None:
+        """One complete response, written in a single ``send()``."""
+        self._settle_body()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        if self.request_version != "HTTP/0.9":
+            # end_headers() would write the head on its own; joined
+            # with the body it leaves in the same write.
+            body = b"".join(self._headers_buffer) + b"\r\n" + body
+            self._headers_buffer = []
+        self.wfile.write(body)
+
+
+class _Handler(KeepAliveHandler):
+    server_version = "repro-service"
 
     _request_started: Optional[float] = None
     _endpoint: str = "other"
@@ -1008,26 +1187,21 @@ class _Handler(BaseHTTPRequestHandler):
         # must find this request in the very next /metrics scrape.
         if _obs.metrics:
             self._observe_request(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        headers: Dict[str, str] = {}
         worker_id = self.service.config.worker_id
         if worker_id is not None:
             # Which pool member answered — the router forwards this so
             # affinity and failover are observable end to end.
-            self.send_header("X-Worker-Id", str(worker_id))
+            headers["X-Worker-Id"] = str(worker_id)
         if _obs.tracing:
             traceparent = current_traceparent()
             if traceparent is not None:
-                self.send_header("traceparent", traceparent)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
+                headers["traceparent"] = traceparent
+        headers.update(extra_headers or {})
         if self.service.draining:
             # Stop keep-alive reuse so the drain can finish.
-            self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_whole(status, body, headers, content_type)
 
     def _send_json(
         self,
@@ -1050,28 +1224,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(
             status, {"error": {"type": kind, "message": message}}, extra_headers
         )
-
-    def _read_body(self) -> Dict[str, Any]:
-        length = self.headers.get("Content-Length")
-        try:
-            length = int(length)
-        except (TypeError, ValueError):
-            raise RequestError("Content-Length required", status=411,
-                               kind="LengthRequired")
-        if length > self.service.config.max_body_bytes:
-            raise RequestError(
-                "request body exceeds %d bytes"
-                % self.service.config.max_body_bytes,
-                status=413, kind="PayloadTooLarge",
-            )
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except (ValueError, UnicodeDecodeError):
-            raise RequestError("request body is not valid JSON")
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        return payload
 
     def _retry_after_header(self) -> Dict[str, str]:
         return {"Retry-After": "%g" % self.service.config.retry_after_s}
@@ -1114,21 +1266,37 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, response)
 
-    def _dispatch_post(self, method) -> None:
-        """The full resilient POST path: deadline, admission, chaos,
-        idempotent replay."""
+    def _dispatch_post(self, endpoint: str, method) -> None:
+        """The full resilient POST path: digest-first lookup, deadline,
+        admission, chaos, idempotent replay."""
         service = self.service
 
-        def run():
+        def run() -> None:
             if service.draining:
                 raise RequestError(
                     "server is draining", status=503, kind="Draining"
                 )
-            payload = self._read_body()
+            raw = self.read_body()
+            # Digest-first: equal bytes decode to an equal payload, so
+            # a body answered before names its result key without
+            # being decoded or hashed again.
+            digest = (endpoint, hashlib.sha256(raw).digest())
+            known = service.digests.get(digest)
+            if known is None:
+                payload = fields = _decode_payload(raw)
+                known_key = None
+            else:
+                payload = None
+                known_key, fields = known
+
+            def decoded() -> Dict[str, Any]:
+                # Only a digest hit whose result was evicted decodes here.
+                return _decode_payload(raw) if payload is None else payload
+
             deadline = service.deadline_for(
-                payload, self.headers.get("X-Request-Timeout-Ms")
+                fields, self.headers.get("X-Request-Timeout-Ms")
             )
-            priority = payload.get("priority", "normal")
+            priority = fields.get("priority", "normal")
             if priority not in PRIORITIES:
                 raise RequestError(
                     "'priority' must be one of %s, got %r"
@@ -1141,7 +1309,7 @@ class _Handler(BaseHTTPRequestHandler):
                     service.counters.increment("idempotent_replays")
                     status, body = stored
                     self._send_raw(status, body)
-                    return _SENT
+                    return
             # The admission slot covers compute AND the response write,
             # so drain() waiting on inflight==0 guarantees no response
             # is cut mid-write by shutdown.
@@ -1157,7 +1325,9 @@ class _Handler(BaseHTTPRequestHandler):
                 # must not pollute the congestion signal.
                 started = time.monotonic()
                 try:
-                    response = method(payload, deadline)
+                    response, result_key = service.answer(
+                        method, decoded, deadline, known=known_key
+                    )
                 except DeadlineExceeded:
                     if service.limiter is not None:
                         service.limiter.observe(
@@ -1171,11 +1341,15 @@ class _Handler(BaseHTTPRequestHandler):
                     # Replayed retries must be byte-identical: store
                     # the serialised body, not the dict.
                     service.idempotency.put(idempotency_key, (200, body))
+                if result_key is not None:
+                    service.digests.put(digest, (result_key, {
+                        name: fields[name]
+                        for name in _PRECOMPUTE_FIELDS if name in fields
+                    }))
                 self._send_raw(200, body)
-            return _SENT
 
         try:
-            outcome = run()
+            run()
         except RequestError as error:
             headers = (
                 self._retry_after_header() if error.status == 503 else None
@@ -1208,8 +1382,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(
                 500, "InternalError", "%s: %s" % (type(error).__name__, error)
             )
-        else:
-            assert outcome is _SENT
 
     # -- routes --------------------------------------------------------
     def _server_span(self, endpoint: str):
@@ -1259,24 +1431,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         path = self.path.split("?", 1)[0]
         self._begin_request(path)
-        if path == "/analyze":
-            self.service.counters.increment("analyze")
-            with self._server_span(path):
-                self._dispatch_post(self.service.handle_analyze)
-        elif path == "/montecarlo":
-            self.service.counters.increment("montecarlo")
-            with self._server_span(path):
-                self._dispatch_post(self.service.handle_montecarlo)
-        elif path == "/ptime":
-            self.service.counters.increment("ptime")
-            with self._server_span(path):
-                self._dispatch_post(self.service.handle_ptime)
-        elif path == "/netlist":
-            self.service.counters.increment("netlist")
-            with self._server_span(path):
-                self._dispatch_post(self.service.handle_netlist)
-        else:
+        handler = _POST_HANDLERS.get(path)
+        if handler is None:
             self._send_error_json(404, "NotFound", "no such endpoint: %s" % path)
+            return
+        self.service.counters.increment(path[1:])
+        with self._server_span(path):
+            self._dispatch_post(path, getattr(self.service, handler))
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.service.config.quiet:
@@ -1289,9 +1450,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "[%s] %s - %s\n" % (prefix, self.address_string(),
                                     format % args)
             )
-
-
-_SENT = object()  # sentinel: response already written by the handler
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -1342,6 +1500,10 @@ class ServiceServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return "http://%s:%d" % (host, port)
+
+    @property
+    def max_body_bytes(self) -> int:
+        return self.service.config.max_body_bytes
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop taking new work and wait for in-flight requests.

@@ -72,6 +72,7 @@ class _ClosingStubServer:
         self.sock.listen(8)
         self.port = self.sock.getsockname()[1]
         self.served = 0
+        self._served_lock = threading.Lock()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
@@ -102,12 +103,15 @@ class _ClosingStubServer:
                 while len(rest) < length:
                     rest += conn.recv(65536)
                 body = b'{"status": "ok"}'
+                # Count before replying: once the client holds the
+                # response, its assertion on `served` may run at once.
+                with self._served_lock:
+                    self.served += 1
                 conn.sendall(
                     b"HTTP/1.1 200 OK\r\n"
                     b"Content-Type: application/json\r\n"
                     b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
                 )
-                self.served += 1
 
     def close(self):
         self.sock.close()

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -242,6 +243,94 @@ class TestRouter:
         }
         assert workers_seen == {"0", "1"}
         transport.close()
+
+
+def _stable(answer):
+    """An answer minus the fields that differ between equal answers."""
+    return {
+        name: value for name, value in answer.items()
+        if name not in ("cached", "timings_ms")
+    }
+
+
+class TestRouterEndpoints:
+    HEADERS = {"Content-Type": "application/json"}
+
+    def test_every_post_endpoint_matches_a_direct_worker(
+        self, router_pool, endpoint_payloads
+    ):
+        pool, router = router_pool
+        routed = PooledTransport(router.url, timeout=30)
+        direct = [
+            PooledTransport("http://127.0.0.1:%d" % port, timeout=30)
+            for port in pool.worker_ports().values()
+        ]
+        try:
+            for path, payload in endpoint_payloads.items():
+                body = json.dumps(payload).encode("utf-8")
+                status, raw, _ = routed.request_ex(
+                    "POST", path, body, self.HEADERS
+                )
+                assert status == 200, (path, raw)
+                expected = _stable(json.loads(raw))
+                for transport in direct:
+                    status, raw, _ = transport.request_ex(
+                        "POST", path, body, self.HEADERS
+                    )
+                    assert status == 200, (path, raw)
+                    assert _stable(json.loads(raw)) == expected, path
+        finally:
+            for transport in [routed] + direct:
+                transport.close()
+
+    def test_early_replies_keep_the_connection_in_step(self, router_pool):
+        import http.client
+
+        from repro.io.json_io import graph_to_dict
+
+        _, router = router_pool
+        body = json.dumps({"graph": graph_to_dict(oscillator_tsg())}).encode()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", router.server_address[1], timeout=15
+        )
+        connection.request("POST", "/nope", body, self.HEADERS)
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 404
+        connection.request("POST", "/analyze", body, self.HEADERS)
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["cycle_time"] == 10
+        connection.close()
+        # Without a Content-Length the body cannot be skipped: 411 and
+        # the router closes the connection.
+        with socket.create_connection(router.server_address[:2], 15) as sock:
+            sock.sendall(b"POST /analyze HTTP/1.1\r\nHost: x\r\n\r\n{}")
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 411")
+        assert b"Connection: close" in reply
+
+    def test_router_replies_are_one_write_on_nodelay_sockets(
+        self, router_pool, writes
+    ):
+        _, router = router_pool
+        transport = PooledTransport(router.url, timeout=15)
+        body = json.dumps({"graph": {"kind": "bogus"}}).encode()
+        for method, path, payload in (
+            ("POST", "/analyze", body),
+            ("GET", "/stats", None),
+            ("GET", "/metrics", None),
+            ("POST", "/nope", body),
+        ):
+            transport.request_ex(method, path, payload, self.HEADERS)
+        transport.close()
+        assert len(writes) == 4
+        assert all(nodelay for _, nodelay in writes)
 
 
 class _FakeClock:
