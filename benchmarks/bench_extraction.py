@@ -31,8 +31,8 @@ def test_state_space_muller_ring(benchmark):
     space = benchmark(explore, netlist)
     emit(
         "State space: Figure 5 ring semi-modularity check",
-        "%d reachable states, %d transitions"
-        % (space.num_states, len(space.transitions)),
+        "%d reachable states, %d moves"
+        % (space.num_states, space.num_moves),
     )
 
 

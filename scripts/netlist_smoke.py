@@ -6,7 +6,12 @@ Three legs, mirroring the acceptance criteria of the netlist front end:
 1. **Library** — every shipped corpus circuit parses, ring-wraps,
    extracts structurally, and yields the golden unit-delay cycle time;
    the structural extraction is cross-checked bit-identical against the
-   exhaustive oracle on c17.
+   exhaustive oracle on c17.  The oracle's exploration of wrapped c17
+   visits exactly 33,600 configurations and 170,384 moves (counts, not
+   timings, so a dropped or double-counted move fails), and wrapped
+   rca2, whose 1.37 M configurations exceed the ``extraction="auto"``
+   state budget, falls back to the structural path with the same
+   cycle time.
 2. **CLI** — ``repro netlist corpus:mult16`` (>=1000 gates) returns
    exit code 0 and reports the golden cycle time; ``repro convert``
    round-trips c17 through structural Verilog.
@@ -34,8 +39,10 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.circuits.extraction import extract_signal_graph  # noqa: E402
+from repro.circuits.state_space import explore  # noqa: E402
 from repro.netlist import (  # noqa: E402
     analyze_network,
+    corpus,
     corpus_path,
     load_corpus,
     ring_wrap,
@@ -44,6 +51,9 @@ from repro.netlist import (  # noqa: E402
 from repro.service.client import ServiceClient, free_port  # noqa: E402
 
 GOLDEN = {"c17": 8, "rca8": 22, "sreg16": 132, "mult16": 91}
+
+#: Reachable configurations and moves of wrapped c17.
+C17_SPACE = (33_600, 170_384)
 
 
 def fail(message: str) -> int:
@@ -84,6 +94,26 @@ def library_leg() -> int:
     ):
         return fail("structural extraction diverges from the oracle on c17")
     print("smoke: structural == oracle on wrapped c17")
+
+    space = explore(wrapped)
+    if (space.num_states, space.num_moves) != C17_SPACE:
+        return fail(
+            "wrapped c17 explored %d configurations / %d moves, expected %d / %d"
+            % ((space.num_states, space.num_moves) + C17_SPACE)
+        )
+    print("smoke: wrapped c17 state space %d configurations, %d moves" % C17_SPACE)
+
+    rca2 = corpus.ripple_carry_adder(2)
+    _, auto = analyze_network(rca2)
+    _, structural = analyze_network(rca2, extraction="structural")
+    if auto["extraction"] != "structural":
+        return fail("rca2 under auto used %r, expected the structural "
+                    "fallback" % auto["extraction"])
+    if auto["cycle_time"] != structural["cycle_time"]:
+        return fail("rca2 auto lambda %r != structural %r"
+                    % (auto["cycle_time"], structural["cycle_time"]))
+    print("smoke: rca2 (%d wrapped signals) falls back to structural, lambda=%s"
+          % (auto["wrapped"]["signals"], auto["cycle_time"]))
     return 0
 
 

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..baselines import METHODS, compute_cycle_time as compute_by_method
 from ..circuits.extraction import extract_signal_graph
-from ..core.errors import FormatError
+from ..core.errors import FormatError, StateSpaceLimitError
 from ..core.signal_graph import TimedSignalGraph
 from .bench import parse_bench
 from .extract import structural_extract
@@ -42,6 +42,13 @@ AUTO_TIMING_BORDER_LIMIT = 48
 #: ``extraction="auto"``: exhaustive oracle extraction (with its full
 #: semi-modularity proof) up to this many wrapped-netlist signals.
 AUTO_ORACLE_SIGNAL_LIMIT = 40
+
+#: ``extraction="auto"``: the oracle's state budget.  A circuit with more
+#: reachable configurations takes the structural path instead; signal
+#: count alone is a poor proxy (wrapped c17, 24 signals, has 33,600
+#: configurations; wrapped rca2, 34 signals, 1,369,984).  An exhausted
+#: budget costs ~0.25 s on a 2-core x86 host.
+AUTO_ORACLE_STATE_LIMIT = 100_000
 
 
 def detect_format(source: str, path: Optional[str] = None) -> str:
@@ -113,9 +120,11 @@ def analyze_network(
     ``delay`` follows :func:`~repro.netlist.transforms.make_delay_fn`:
     a number (fixed), a ``(lo, hi)`` pair (sampled per stage with
     ``seed``) or a mapping.  ``extraction="auto"`` uses the exhaustive
-    oracle (full semi-modularity proof) on small wrapped netlists and
-    the structural path beyond; ``method="auto"`` picks the paper's
-    timing algorithm or Howard's iteration by border-event count.
+    oracle (full semi-modularity proof) on wrapped netlists of at most
+    :data:`AUTO_ORACLE_SIGNAL_LIMIT` signals whose state space fits in
+    :data:`AUTO_ORACLE_STATE_LIMIT` configurations, and the structural
+    path otherwise; ``method="auto"`` picks the paper's timing
+    algorithm or Howard's iteration by border-event count.
     """
     if extraction not in EXTRACTION_MODES:
         raise FormatError(
@@ -143,15 +152,20 @@ def analyze_network(
 
     start = time.perf_counter()
     wrapped_signals = len(wrapped.gates) + len(wrapped.inputs)
-    if extraction == "auto":
-        extraction = (
-            "oracle" if wrapped_signals <= AUTO_ORACLE_SIGNAL_LIMIT
-            else "structural"
-        )
+    graph = None
     if extraction == "oracle":
         graph = extract_signal_graph(wrapped)
-    else:
+    elif extraction == "auto" and wrapped_signals <= AUTO_ORACLE_SIGNAL_LIMIT:
+        try:
+            graph = extract_signal_graph(
+                wrapped, max_states=AUTO_ORACLE_STATE_LIMIT
+            )
+            extraction = "oracle"
+        except StateSpaceLimitError:
+            pass
+    if graph is None:
         graph = structural_extract(wrapped, check=check)
+        extraction = "structural"
     timings["extract_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()

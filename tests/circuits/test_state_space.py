@@ -1,7 +1,14 @@
 """Unit tests for reachability and semi-modularity checking."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+from repro.circuits.library import inverter_ring_netlist, muller_ring_netlist
 from repro.circuits.netlist import Netlist
 from repro.circuits.state_space import explore, is_semi_modular
 from repro.core.errors import (
@@ -9,6 +16,8 @@ from repro.core.errors import (
     NotSemiModularError,
     StateSpaceLimitError,
 )
+from repro.netlist import corpus, load_corpus, ring_wrap
+from tests.reference_state_space import assert_real_violation, racing_latch
 
 
 class TestExploration:
@@ -62,6 +71,26 @@ class TestExploration:
         space = explore(oscillator_circuit, max_steps=10_000)
         assert space.num_states > 0
 
+    def test_step_budget_is_exact(self, oscillator_circuit):
+        moves = explore(oscillator_circuit).num_moves
+        assert explore(oscillator_circuit, max_steps=moves).num_moves == moves
+        with pytest.raises(StateSpaceLimitError):
+            explore(oscillator_circuit, max_steps=moves - 1)
+
+    @pytest.mark.parametrize(
+        "build, states, moves",
+        [
+            (lambda: ring_wrap(load_corpus("c17")), 33_600, 170_384),
+            (lambda: ring_wrap(corpus.ripple_carry_adder(1)), 4_544, 18_056),
+            (lambda: ring_wrap(corpus.shift_register(4)), 272, 496),
+            (lambda: muller_ring_netlist(5), 160, 360),
+        ],
+        ids=["c17", "rca1", "sreg4", "muller5"],
+    )
+    def test_every_configuration_and_move_visited(self, build, states, moves):
+        space = explore(build())
+        assert (space.num_states, space.num_moves) == (states, moves)
+
 
 class TestSemiModularity:
     def test_oscillator_is_semi_modular(self, oscillator_circuit):
@@ -75,30 +104,79 @@ class TestSemiModularity:
     def test_hazardous_circuit_detected(self):
         # A NOR-gate SR-latch-style race: two cross-coupled NOR gates
         # with both inputs released simultaneously is the classic
-        # non-semi-modular structure.
-        n = Netlist("race")
-        n.add_input("set", initial=1)
-        n.add_input("reset", initial=1)
-        n.add_gate("q", "NOR", ["reset", "qb"], initial=0)
-        n.add_gate("qb", "NOR", ["set", "q"], initial=0)
-        n.add_stimulus("set", 0)
-        n.add_stimulus("reset", 0)
-        # after both fall, q and qb are both excited; firing one
-        # disables the other
-        assert not is_semi_modular(n)
+        # non-semi-modular structure.  After both fall, q and qb are
+        # both excited; firing one disables the other.
+        assert not is_semi_modular(racing_latch())
 
     def test_witness_reported(self):
-        n = Netlist("race")
-        n.add_input("set", initial=1)
-        n.add_input("reset", initial=1)
-        n.add_gate("q", "NOR", ["reset", "qb"], initial=0)
-        n.add_gate("qb", "NOR", ["set", "q"], initial=0)
-        n.add_stimulus("set", 0)
-        n.add_stimulus("reset", 0)
         with pytest.raises(NotSemiModularError) as info:
-            explore(n)
+            explore(racing_latch())
         assert info.value.signal in {"q", "qb"}
         assert info.value.state is not None
+        assert_real_violation(racing_latch(), info.value)
+
+    def test_witness_is_lowest_index_lost_signal(self):
+        # Firing ns disables both ANDs at once; z1 comes first in
+        # signal order, y2 first alphabetically.
+        n = Netlist("double-loss")
+        n.add_input("a", initial=0)
+        n.add_gate("z1", "AND", ["a", "ns"], initial=0)
+        n.add_gate("y2", "AND", ["a", "ns"], initial=0)
+        n.add_gate("s", "BUF", ["a"], initial=0)
+        n.add_gate("ns", "NOT", ["s"], initial=1)
+        n.add_stimulus("a")
+        with pytest.raises(NotSemiModularError) as info:
+            explore(n)
+        assert str(info.value).startswith("transition of 'ns'")
+        assert info.value.signal == "z1"
+        assert_real_violation(n, info.value)
+
+    def test_witness_independent_of_hash_seed(self):
+        """Signals fire in index order, so every interpreter reports the
+        same witness whatever its string hashing."""
+        script = (
+            "import json\n"
+            "from repro.circuits.state_space import explore\n"
+            "from repro.core.errors import NotSemiModularError\n"
+            "from tests.reference_state_space import racing_latch\n"
+            "try:\n"
+            "    explore(racing_latch())\n"
+            "except NotSemiModularError as error:\n"
+            "    print(json.dumps([str(error), error.state, error.signal]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        witnesses = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, root]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=root,
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            witnesses.add(out)
+        assert len(witnesses) == 1
+        message, state, signal = json.loads(witnesses.pop())
+        assert_real_violation(
+            racing_latch(), NotSemiModularError(message, state=state, signal=signal)
+        )
+
+    def test_violation_before_budget_is_the_verdict(self):
+        # A glitching AND beside an independent 9-stage inverter ring:
+        # the product has 90 configurations, but the hazard is met
+        # within the first 40.
+        n = inverter_ring_netlist(9)
+        n.add_input("a", initial=0)
+        n.add_gate("b", "NOT", ["a"], initial=1)
+        n.add_gate("c", "AND", ["a", "b"], initial=0)
+        n.add_stimulus("a")
+        assert explore(n, check_semi_modular=False).num_states == 90
+        with pytest.raises(StateSpaceLimitError):
+            explore(n, max_states=40, check_semi_modular=False)
+        with pytest.raises(NotSemiModularError) as info:
+            explore(n, max_states=40)
+        assert info.value.signal == "c"
+        assert_real_violation(n, info.value)
 
     def test_free_running_inverter_ring_is_semi_modular(self):
         # a 3-inverter ring oscillator is the smallest autonomous

@@ -6,16 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.errors import FormatError
+from repro.core.errors import FormatError, NotSemiModularError
 from repro.io import json_io
 from repro.netlist import (
     analyze_network,
     analyze_source,
+    corpus,
     corpus_names,
     corpus_path,
     detect_format,
     load_corpus,
     parse_source,
+    pipeline,
     write_bench,
     write_verilog,
 )
@@ -124,3 +126,43 @@ class TestAnalyze:
         _, report = analyze_source(C17_TEXT)
         for key in ("parse_ms", "transform_ms", "extract_ms", "analyze_ms"):
             assert report["timings_ms"][key] >= 0
+
+
+class TestAutoExtraction:
+    """``extraction="auto"`` bounds the oracle by state count too."""
+
+    def test_large_state_space_falls_back_to_structural(self):
+        # Wrapped rca2 passes the signal limit but has 1,369,984
+        # reachable configurations.
+        network = corpus.ripple_carry_adder(2)
+        _, auto = analyze_network(network)
+        _, structural = analyze_network(network, extraction="structural")
+        assert auto["wrapped"]["signals"] <= pipeline.AUTO_ORACLE_SIGNAL_LIMIT
+        assert auto["extraction"] == "structural"
+        assert auto["cycle_time"] == structural["cycle_time"]
+        assert auto["critical_cycles"] == structural["critical_cycles"]
+
+    @pytest.mark.parametrize(
+        "circuit, width",
+        [("rca", 1)] + [("sreg", width) for width in range(2, 9)],
+    )
+    def test_small_state_spaces_stay_on_the_oracle(self, circuit, width):
+        factory = {"rca": corpus.ripple_carry_adder, "sreg": corpus.shift_register}
+        _, report = analyze_network(factory[circuit](width))
+        assert report["extraction"] == "oracle"
+
+    def test_explicit_oracle_ignores_the_auto_budget(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "AUTO_ORACLE_STATE_LIMIT", 10)
+        _, auto = analyze_network(load_corpus("c17"))
+        _, oracle = analyze_network(load_corpus("c17"), extraction="oracle")
+        assert auto["extraction"] == "structural"
+        assert oracle["extraction"] == "oracle"
+        assert auto["cycle_time"] == oracle["cycle_time"] == 8
+
+    def test_violation_propagates_instead_of_falling_back(self, monkeypatch):
+        def reject(netlist, **options):
+            raise NotSemiModularError("race", state={}, signal="x")
+
+        monkeypatch.setattr(pipeline, "extract_signal_graph", reject)
+        with pytest.raises(NotSemiModularError):
+            analyze_network(load_corpus("c17"))
