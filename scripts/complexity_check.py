@@ -34,15 +34,15 @@ from repro.core import compute_cycle_time, run_border_simulations_batch
 from repro.generators.random_graphs import ring_with_chords
 from repro.obs.profile import PhaseProfiler, profile_phases
 
-#: kernels the fit can target: the scalar per-analysis path, the
-#: per-level batch sweep, and the fused whole-period programs.  The
-#: batch kernels sweep BATCH_SAMPLES bindings and divide the run time
-#: by it, so the fitted exponent measures per-sample work.  S must be
-#: large enough that vector arithmetic dominates numpy dispatch —
-#: small S dilutes the b exponent (the fused kernel stacks the b
-#: origins along the sample axis, so dispatch-bound ops scale like b,
-#: not b^2, until the vectors are wide enough to cost real time).
-KERNEL_CHOICES = ("scalar", "batch", "fused")
+#: kernels the fit can target: the scalar per-analysis path and the
+#: fused batch sweep.  The fused sweep runs BATCH_SAMPLES bindings and
+#: divides the run time by it, so the fitted exponent measures
+#: per-sample work.  S must be large enough that vector arithmetic
+#: dominates numpy dispatch — small S dilutes the b exponent (the fused
+#: kernel stacks the b origins along the sample axis, so dispatch-bound
+#: ops scale like b, not b^2, until the vectors are wide enough to cost
+#: real time).
+KERNEL_CHOICES = ("scalar", "fused")
 
 BATCH_SAMPLES = 64
 
@@ -77,7 +77,7 @@ def measure(stages, tokens, repeats, kernel="scalar", seed=7):
         )
 
         def analyse():
-            run_border_simulations_batch(graph, matrix, kernel=kernel)
+            run_border_simulations_batch(graph, matrix)
 
     for _ in range(WARMUP_ANALYSES):
         analyse()
@@ -128,8 +128,7 @@ def main(argv=None):
     parser.add_argument("--kernel", choices=KERNEL_CHOICES,
                         default="scalar",
                         help="fit the scalar per-analysis path "
-                        "(default), the per-level batch sweep, or the "
-                        "fused whole-period programs")
+                        "(default) or the fused batch sweep")
     args = parser.parse_args(argv)
 
     points = []

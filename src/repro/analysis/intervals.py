@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -64,14 +64,12 @@ class IntervalResult:
 def interval_cycle_time(
     graph: TimedSignalGraph,
     bounds: Dict[Tuple[Event, Event], Tuple[Number, Number]],
-    kernel: Optional[str] = None,
 ) -> IntervalResult:
     """Cycle-time bounds for arcs with ``(min, max)`` delay intervals.
 
     ``bounds`` maps arc pairs to intervals; arcs not listed keep their
-    fixed delay.  ``kernel`` selects the batch kernel for the float
-    corner sweep (``"auto"``/``"batch"``/``"fused"``/``"numba"``); the
-    exact int/Fraction path ignores it.  Raises
+    fixed delay.  Float corners run as one two-row fused sweep; exact
+    int/Fraction corners run the exact kernel one at a time.  Raises
     :class:`~repro.core.errors.GraphConstructionError` for an interval
     with ``min > max`` or one naming a missing arc.
     """
@@ -118,7 +116,7 @@ def interval_cycle_time(
             ],
             dtype=np.float64,
         )
-        sweep = run_border_simulations_batch(graph, matrix, kernel=kernel)
+        sweep = run_border_simulations_batch(graph, matrix)
         return IntervalResult(
             lower=sweep.sample_result(0), upper=sweep.sample_result(1)
         )
@@ -138,7 +136,6 @@ def interval_cycle_time(
 def uniform_interval_cycle_time(
     graph: TimedSignalGraph,
     relative_margin: float,
-    kernel: Optional[str] = None,
 ) -> IntervalResult:
     """Bounds for a uniform ±margin on every delay (process spread).
 
@@ -154,4 +151,4 @@ def uniform_interval_cycle_time(
         )
         for arc in graph.arcs
     }
-    return interval_cycle_time(graph, bounds, kernel=kernel)
+    return interval_cycle_time(graph, bounds)

@@ -16,12 +16,12 @@ firing to firing.  Two different questions follow:
   the *jitter penalty*: zero-slack systems pay for variance even when
   the mean delays are unchanged.
 
-:func:`stochastic_cycle_time` estimates λ̄ by replaying the batch
-kernel's compiled arc programs (:mod:`repro.core.kernel`) with a
-freshly sampled ``(R, m)`` delay matrix per period — ``R`` independent
-*replications* advance in lockstep through the same vectorized
-max-plus sweep, so tightening the estimate costs one wider NumPy
-array, not another full simulation.  :func:`jitter_penalty` reports
+:func:`stochastic_cycle_time` estimates λ̄ by replaying the fused
+period programs of :mod:`repro.core.kernel` with a freshly sampled
+``(R, m)`` delay matrix per period — ``R`` independent *replications*
+advance in lockstep through the same vectorized max-plus sweep, so
+tightening the estimate costs one wider NumPy array, not another full
+simulation.  :func:`jitter_penalty` reports
 the penalty against the deterministic mean-delay analysis.
 """
 
@@ -36,7 +36,7 @@ from ..core.arithmetic import Number
 from ..core.cycle_time import compute_cycle_time
 from ..core.errors import SignalGraphError
 from ..core.events import as_event, event_label
-from ..core.kernel import _batch_structure_of, _batch_sweep, compiled_graph
+from ..core.kernel import _batch_structure_of, _run_fused_level, compiled_graph
 from ..core.signal_graph import TimedSignalGraph
 from .montecarlo import DelaySampler, draw_delays
 
@@ -103,8 +103,8 @@ def stochastic_cycle_time(
         raise SignalGraphError("need at least one replication")
     rng = np.random.default_rng(seed)
     cg = compiled_graph(graph)
-    structure = _batch_structure_of(cg)
-    n = structure.n
+    plan = _batch_structure_of(cg).fused_plan(1)
+    n, frames = plan.n, plan.frames
     if witness is None:
         border = graph.border_events
         if not border:
@@ -116,26 +116,36 @@ def stochastic_cycle_time(
         raise SignalGraphError(
             "witness %s must be a repetitive event" % event_label(witness)
         )
-    witness_slot = n + cg.id_of[witness]
+    witness_id = cg.id_of[witness]
 
     nominal = np.asarray(
         [float(arc.delay) for arc in graph.arcs], dtype=np.float64
     )
     shape = (replications, len(nominal))
-    buffer = np.zeros((replications, 2 * n), dtype=np.float64)
+    # Slot-major frame ring: period p lives in frame p % frames.
+    buffer = np.empty((frames * n, replications))
+    workspace = np.empty((max(plan.max_level_arcs, 1), replications))
 
     def sweep(program) -> None:
-        matrix = draw_delays(rng, sampler, nominal, shape)
-        _batch_sweep(program, matrix[:, program.cols], buffer, 0.0)
+        dmat_t = draw_delays(rng, sampler, nominal, shape).T[program.cols]
+        for level in program.levels:
+            _run_fused_level(level, dmat_t, buffer, workspace, 1)
+            if level.empty is not None:
+                # The global simulation starts events without a
+                # predecessor at time 0; the plan leaves them at -inf,
+                # the border-initiated convention.
+                buffer[level.empty] = 0.0
 
-    sweep(structure.p0)
-    start = buffer[:, witness_slot].copy() if warmup == 0 else None
+    def witness_times(period: int) -> np.ndarray:
+        return buffer[(period % frames) * n + witness_id]
+
+    sweep(plan.p0)
+    start = witness_times(0).copy() if warmup == 0 else None
     for period in range(1, periods + 1):
-        buffer[:, :n] = buffer[:, n:]
-        sweep(structure.p1 if period == 1 else structure.ps)
+        sweep(plan.p1 if period == 1 else plan.steady[(period - 1) % frames])
         if period == warmup:
-            start = buffer[:, witness_slot].copy()
-    averages = (buffer[:, witness_slot] - start) / (periods - warmup)
+            start = witness_times(period).copy()
+    averages = (witness_times(periods) - start) / (periods - warmup)
     deterministic = float(compute_cycle_time(graph).cycle_time)
     return JitterResult(
         average_distance=float(np.mean(averages)),

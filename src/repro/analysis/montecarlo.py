@@ -215,7 +215,6 @@ def monte_carlo_cycle_time(
     workers: Optional[int] = None,
     executor: Optional[str] = None,
     method: str = "batch",
-    kernel: Optional[str] = None,
     cache: bool = True,
 ) -> MonteCarloResult:
     """Sample delays, re-analyse, aggregate.
@@ -227,17 +226,13 @@ def monte_carlo_cycle_time(
     no backtracking runs at all then, which is the fast path for
     histograms and quantiles.
 
-    ``method="batch"`` (default) sweeps all samples through the
-    vectorized batch kernel, with ``batch_size`` bounding per-chunk
-    memory and ``workers`` overlapping chunks on a thread pool — or,
-    with ``executor="process"``, fanning them over the shared kernel
-    process pool so GIL-bound sweeps scale with cores.  ``kernel``
-    picks the batch kernel (:data:`~repro.core.kernel.BATCH_KERNELS`:
-    the fused whole-period programs by default, ``batch`` for the
-    per-level sweep, ``numba`` when numba is importable) — all
-    bit-identical, so the λ stream never depends on the choice;
-    ``method="persample"`` keeps the original rebind-per-trial loop
-    (the executable reference — bit-identical λ samples).
+    ``method="batch"`` (default) sweeps all samples through the fused
+    vectorized kernel, with ``batch_size`` bounding per-chunk memory
+    and ``workers`` overlapping chunks on a thread pool — or, with
+    ``executor="process"``, fanning them over the shared kernel process
+    pool so GIL-bound sweeps scale with cores.  ``method="persample"``
+    keeps the original rebind-per-trial loop (the executable reference
+    — bit-identical λ samples).
     ``cache=True`` (default) resolves the compiled topology through the
     process-wide content-addressed compile cache
     (:func:`repro.service.cache.shared_compiled_graph`), so repeated
@@ -280,7 +275,6 @@ def monte_carlo_cycle_time(
             batch_size=batch_size,
             workers=workers,
             executor=executor,
-            kernel=kernel,
         )
         values = sweep.cycle_times()
         if track_criticality:

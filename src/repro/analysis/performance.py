@@ -19,7 +19,8 @@ reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -118,31 +119,53 @@ def steady_state_potentials(
     Propagated over the repetitive core from an arbitrary root by
     Bellman-Ford (at most ``n`` rounds; no positive cycles exist at the
     true cycle time).
+
+    A graph with float delays propagates exactly on ``Fraction(delay)``
+    — floats are dyadic rationals, so nothing is lost — at the rate
+    ``max(Fraction(cycle_time), λ*)``, where λ* is the exact cycle time
+    of those delays (``howard-ratio``): a float λ rounded below λ*
+    would otherwise read as a positive cycle.  Each potential is
+    rounded to float once, at the end.
     """
     repetitive = graph.repetitive_events
     nodes = [event for event in graph.events if event in repetitive]
     if not nodes:
         raise SignalGraphError("graph has no repetitive core")
     arcs = [
-        arc
+        (arc.source, arc.target, arc.delay, arc.tokens)
         for arc in graph.arcs
         if arc.source in repetitive and arc.target in repetitive
     ]
-    root = nodes[0]
-    potentials: Dict[Event, Number] = {root: 0}
-    for round_index in range(len(nodes) + 1):
+    if graph.is_exact:
+        return _longest_paths(nodes, arcs, cycle_time)
+    # imported here: the repro.baselines package imports scipy
+    from ..baselines.howard import max_cycle_ratio_howard
+
+    exact_graph = graph.copy()
+    for arc in graph.arcs:
+        exact_graph.set_delay(arc.source, arc.target, Fraction(arc.delay))
+    rate = max(Fraction(cycle_time), max_cycle_ratio_howard(exact_graph)[0])
+    exact_arcs = [
+        (source, target, Fraction(delay), tokens)
+        for source, target, delay, tokens in arcs
+    ]
+    return {
+        event: float(potential)
+        for event, potential in _longest_paths(nodes, exact_arcs, rate).items()
+    }
+
+
+def _longest_paths(nodes, arcs, cycle_time) -> Dict[Event, Number]:
+    """Bellman-Ford over ``(source, target, delay, tokens)`` arcs."""
+    potentials: Dict[Event, Number] = {nodes[0]: 0}
+    for _ in range(len(nodes) + 1):
         changed = False
-        for arc in arcs:
-            if arc.source not in potentials:
+        for source, target, delay, tokens in arcs:
+            if source not in potentials:
                 continue
-            candidate = (
-                potentials[arc.source] + arc.delay - cycle_time * arc.tokens
-            )
-            if (
-                arc.target not in potentials
-                or candidate > potentials[arc.target]
-            ):
-                potentials[arc.target] = candidate
+            candidate = potentials[source] + delay - cycle_time * tokens
+            if target not in potentials or candidate > potentials[target]:
+                potentials[target] = candidate
                 changed = True
         if not changed:
             break

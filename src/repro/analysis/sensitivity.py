@@ -100,12 +100,11 @@ def what_if_delays(
     values: Sequence[Number],
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    kernel: Optional[str] = None,
     cache: bool = True,
 ) -> List[Tuple[float, float]]:
     """λ for each candidate delay of one arc, as ``(delay, λ)`` rows.
 
-    All candidates sweep through the vectorized batch kernel as one
+    All candidates sweep through the fused batch sweep as one
     ``(len(values), m)`` binding matrix — the "what if this gate were
     faster/slower" probe at one kernel invocation instead of
     ``len(values)`` re-analyses.  Results are float64; exact callers
@@ -129,7 +128,7 @@ def what_if_delays(
     )
     matrix[:, column] = [float(value) for value in values]
     sweep = run_border_simulations_batch(
-        graph, matrix, batch_size=batch_size, workers=workers, kernel=kernel
+        graph, matrix, batch_size=batch_size, workers=workers
     )
     lambdas = sweep.cycle_times()
     return [
@@ -142,7 +141,6 @@ def empirical_sensitivities(
     epsilon: float = 1e-6,
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    kernel: Optional[str] = None,
     cache: bool = True,
 ) -> List[ArcSensitivity]:
     """Finite-difference dλ/dδ for every repetitive-core arc.
@@ -172,7 +170,7 @@ def empirical_sensitivities(
     for sample, (column, _) in enumerate(core, start=1):
         matrix[sample, column] += epsilon
     sweep = run_border_simulations_batch(
-        graph, matrix, batch_size=batch_size, workers=workers, kernel=kernel
+        graph, matrix, batch_size=batch_size, workers=workers
     )
     lambdas = sweep.cycle_times()
     rows = [

@@ -395,16 +395,8 @@ def _cmd_montecarlo(args) -> int:
     graph = _load_graph(args.file)
     spreads = {"uniform": uniform_spread, "normal": normal_spread}
     sampler = spreads[args.distribution](args.spread)
-    # "persample" is a method (reference scalar loop); everything else
-    # selects a batch-kernel tier inside method="batch".
+    # "persample" is the reference scalar loop; "auto" is the fused sweep.
     method = "persample" if args.kernel == "persample" else "batch"
-    batch_kernel = None if args.kernel == "persample" else args.kernel
-    if method == "persample":
-        effective_kernel = "persample"
-    else:
-        from .core.kernel import resolve_batch_kernel
-
-        effective_kernel = resolve_batch_kernel(batch_kernel)
     result = monte_carlo_cycle_time(
         graph,
         sampler,
@@ -415,7 +407,6 @@ def _cmd_montecarlo(args) -> int:
         workers=args.workers,
         executor=args.executor,
         method=method,
-        kernel=batch_kernel,
     )
     print(
         "graph: %s (%d events, %d arcs, %d border events)"
@@ -427,7 +418,7 @@ def _cmd_montecarlo(args) -> int:
         % (
             args.distribution,
             args.spread,
-            effective_kernel,
+            "persample" if method == "persample" else "fused",
             "" if args.batch_size is None else
             " (batch size %d)" % args.batch_size,
         )
@@ -609,15 +600,11 @@ def _cmd_intervals(args) -> int:
     if isinstance(loaded, PTimeSignalGraph):
         # Corner sweep over the finite sub-box of a P-time document.
         graph = loaded.graph
-        result = interval_cycle_time(
-            graph, loaded.interval_bounds_dict(), kernel=args.kernel
-        )
+        result = interval_cycle_time(graph, loaded.interval_bounds_dict())
         source = "ptime bounds"
     else:
         graph = _load_graph(args.file)
-        result = uniform_interval_cycle_time(
-            graph, args.margin, kernel=args.kernel
-        )
+        result = uniform_interval_cycle_time(graph, args.margin)
         source = "uniform +/-%g margin" % args.margin
     print(
         "graph: %s (%d events, %d arcs)"
@@ -668,7 +655,6 @@ def _cmd_serve(args) -> int:
         trace_export=args.trace_export,
         kernel_executor=args.kernel_executor,
         kernel_workers=args.kernel_workers,
-        batch_kernel=args.batch_kernel,
         adaptive=not args.no_adaptive,
         brownout=args.brownout,
         brownout_floor=args.brownout_floor,
@@ -889,13 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the kernel process pool (GIL-bound sweeps scale with cores)",
     )
     montecarlo.add_argument(
-        "--kernel",
-        choices=("auto", "batch", "fused", "numba", "persample"),
-        default="auto",
-        help="sweep kernel: auto (fused where available, default), "
-        "batch (per-level reduceat), fused (whole-period program), "
-        "numba (JIT loop, falls back to fused without numba), or "
-        "persample (scalar reference loop)",
+        "--kernel", choices=("auto", "persample"), default="auto",
+        help="sweep kernel: auto (the fused vectorized sweep, default) "
+        "or persample (scalar reference loop)",
     )
     montecarlo.add_argument(
         "--no-criticality", action="store_true",
@@ -975,11 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--margin", type=float, default=0.1, metavar="M",
         help="relative margin for fixed-delay inputs (default 0.1)",
     )
-    intervals.add_argument(
-        "--kernel", choices=("auto", "batch", "fused", "numba"),
-        default=None,
-        help="batch kernel for the float corner sweep",
-    )
     intervals.set_defaults(func=_cmd_intervals)
 
     serve = commands.add_parser(
@@ -1009,12 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-workers", type=int, default=0, metavar="N",
         help="fan each batched sweep over N kernel executors "
         "(0 disables chunk fan-out)",
-    )
-    serve.add_argument(
-        "--batch-kernel", choices=("auto", "batch", "fused", "numba"),
-        default="auto", metavar="K",
-        help="batch-kernel tier for coalesced sweeps (auto picks "
-        "fused; numba falls back to fused when unavailable)",
     )
     serve.add_argument(
         "--request-timeout", type=float, default=30.0, metavar="S",

@@ -65,25 +65,10 @@ Statistical workloads go one dimension further: a **batch axis**.
 :class:`BatchBindings` holds an ``(S, m)`` float64 delay matrix — S
 delay bindings over one compiled topology — and
 :func:`run_border_simulations_batch` advances all S bindings through
-the same arc programs in lockstep.  The in-arc programs are flattened
-into NumPy index arrays grouped by intra-period dependency depth
-(*levels*), so one period is a handful of gathers plus
-``np.maximum.reduceat`` segment maxima over ``(S, arcs)`` blocks
-instead of S Python-level sweeps; λ per binding falls out of one
-vectorized max over the collected border distances.  Critical-cycle
-backtracking stays lazy and per-sample
-(:meth:`BatchSweepResult.sample_result`), so bindings whose critical
-cycle is never requested pay nothing for it.  The batched float64
-sweep is bit-identical to S independent :func:`rebind_compiled` +
-single-kernel runs (same IEEE additions and maxima, different loop
-order only).
-
-The top speed tier is the **fused period program**
-(``kernel="fused"``, the ``auto`` default of the batch entry points):
-the per-level Python loop of the batch kernel is collapsed into a
-handful of large vectorized ops per *period* by precomputing flat
-gather / segment-boundary index arrays spanning the whole period.  The
-fused sweep additionally
+*fused period programs*: flat gather index arrays spanning a whole
+period, precomputed once per topology, so one period is a handful of
+large vectorized ops instead of S Python-level sweeps.  The fused
+sweep additionally
 
 * stacks all ``b`` border origins along the sample axis (one buffer of
   ``b * S`` columns), so the ``b`` per-origin period loops of the
@@ -93,20 +78,25 @@ fused sweep additionally
   so no period-over-period copy is paid;
 * unrolls 2-4 periods into one program when ``b`` is small, amortising
   dispatch overhead across periods;
-* replaces the axis-0 segment reduction with degree-sorted levels whose
-  j-th-arc maxima are contiguous-slice ``np.maximum`` calls.
+* groups each period's rows into dependency levels, degree-sorted so
+  the j-th-arc maxima of a level are contiguous-slice ``np.maximum``
+  calls.
+
+λ per binding falls out of one vectorized max over the collected
+border distances.  Critical-cycle backtracking stays lazy and
+per-sample (:meth:`BatchSweepResult.sample_result`), so bindings whose
+critical cycle is never requested pay nothing for it.  The sweep is
+bit-identical to S independent :func:`rebind_compiled` + single-kernel
+float runs (same IEEE additions and maxima, different loop order
+only).
 
 Fused programs are compiled once per topology, cached on the
 :class:`_BatchStructure` (itself carried across the service layer's
-O(1) ``adopt`` path when the arc order matches), and remain
-bit-identical to the per-sample float64 kernel.  An optional ``numba``
-backend JIT-compiles the same flat per-sample period loop when numba
-is importable and falls back to ``fused`` (with a warning) when not —
-it is never a hard dependency.  ``executor="process"`` ships ``(S, m)``
-delay matrices to pool workers through one
-:mod:`multiprocessing.shared_memory` block per sweep (attached
-child-side by name, unlinked by the parent when the sweep ends) so
-chunk dispatch never pickles the matrix.
+O(1) ``adopt`` path when the arc order matches).
+``executor="process"`` ships ``(S, m)`` delay matrices to pool workers
+through one :mod:`multiprocessing.shared_memory` block per sweep
+(attached child-side by name, unlinked by the parent when the sweep
+ends) so chunk dispatch never pickles the matrix.
 """
 
 from __future__ import annotations
@@ -118,7 +108,6 @@ import pickle
 import sys
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -895,7 +884,6 @@ def _pool_run_chunk(
     hi: int,
     origin_ids: Sequence[int],
     periods: int,
-    kernel: str,
     unroll: Optional[int],
     matrix: Optional[np.ndarray],
 ) -> List[np.ndarray]:
@@ -922,8 +910,8 @@ def _pool_run_chunk(
         bindings = None
         try:
             bindings = BatchBindings(cg, full[lo:hi])
-            tables = _run_chunk_tables(
-                bindings, origin_ids, periods, kernel, unroll
+            tables = run_border_sweep_fused(
+                bindings, origin_ids, periods, unroll
             )
         finally:
             # every view of the mapping must be gone before close()
@@ -932,8 +920,9 @@ def _pool_run_chunk(
             del full
             shm.close()
         return tables
-    bindings = BatchBindings(cg, matrix)
-    return _run_chunk_tables(bindings, origin_ids, periods, kernel, unroll)
+    return run_border_sweep_fused(
+        BatchBindings(cg, matrix), origin_ids, periods, unroll
+    )
 
 
 def _submit_chunk(
@@ -946,7 +935,6 @@ def _submit_chunk(
     hi: int,
     origin_ids: Sequence[int],
     periods: int,
-    kernel: str,
     unroll: Optional[int],
 ):
     """Submit one chunk to the process pool.
@@ -960,121 +948,22 @@ def _submit_chunk(
         return pool.submit(
             _pool_run_chunk, token, blob, shared.name, shared.shape,
             _pool_method != "fork", lo, hi, origin_ids, periods,
-            kernel, unroll, None,
+            unroll, None,
         )
     return pool.submit(
         _pool_run_chunk, token, blob, None, None, False, 0, hi - lo,
-        origin_ids, periods, kernel, unroll,
+        origin_ids, periods, unroll,
         np.ascontiguousarray(matrix[lo:hi]),
     )
 
 
 # ----------------------------------------------------------------------
-# vectorized multi-binding batch kernel
+# vectorized multi-binding batch sweep
 # ----------------------------------------------------------------------
-class _BatchLevel:
-    """One dependency level of a batch program.
-
-    All rows in a level only read buffer slots written by earlier
-    levels (or the previous period), so the whole level is one gather
-    ``buf[:, offsets] + dmat[:, lo:hi]`` followed by a per-row segment
-    maximum — no Python-level loop over rows.
-    """
-
-    __slots__ = ("targets", "starts", "offsets", "lo", "hi", "single",
-                 "empty_targets")
-
-    def __init__(self, targets, starts, offsets, lo, hi, single,
-                 empty_targets):
-        self.targets = targets
-        self.starts = starts
-        self.offsets = offsets
-        self.lo = lo
-        self.hi = hi
-        self.single = single
-        self.empty_targets = empty_targets
-
-
-class _BatchProgram:
-    """A per-period-class arc program flattened to index arrays.
-
-    ``cols`` maps every flattened arc (level-major, graph in-arc order
-    within a row) to its column in the ``(S, m)`` delay matrix, so a
-    binding's per-program delay block is the single fancy-index
-    ``matrix[:, cols]``.
-    """
-
-    __slots__ = ("levels", "cols")
-
-    def __init__(self, levels, cols):
-        self.levels = levels
-        self.cols = cols
-
-
-def _compile_batch_program(rows, n):
-    """Level-schedule ``(target, [(offset, col), ...])`` rows.
-
-    Rows arrive in topological id order; an arc with ``offset >= n``
-    reads the *current* period, i.e. a row computed earlier, which
-    pins the row's level to one past its deepest same-period source.
-    Rows of one level never read each other, so they can be reduced in
-    a single vectorized step.
-    """
-    level_of_tid: Dict[int, int] = {}
-    row_levels = []
-    for target, arcs in rows:
-        level = 0
-        for offset, _ in arcs:
-            if offset >= n:
-                # Sources outside the row set (rows before an origin
-                # suffix) hold fixed sentinel values, i.e. depth -1.
-                depth = level_of_tid.get(offset - n, -1) + 1
-                if depth > level:
-                    level = depth
-        level_of_tid[target - n] = level
-        row_levels.append(level)
-    levels: List[_BatchLevel] = []
-    cols_flat: List[int] = []
-    position = 0
-    for level in range(max(row_levels) + 1 if row_levels else 0):
-        targets: List[int] = []
-        starts: List[int] = []
-        offsets: List[int] = []
-        empty: List[int] = []
-        single = True
-        for index, (target, arcs) in enumerate(rows):
-            if row_levels[index] != level:
-                continue
-            if not arcs:
-                empty.append(target)
-                continue
-            if len(arcs) != 1:
-                single = False
-            starts.append(len(offsets))
-            targets.append(target)
-            for offset, col in arcs:
-                offsets.append(offset)
-                cols_flat.append(col)
-        levels.append(
-            _BatchLevel(
-                targets=np.asarray(targets, dtype=np.intp),
-                starts=np.asarray(starts, dtype=np.intp),
-                offsets=np.asarray(offsets, dtype=np.intp),
-                lo=position,
-                hi=position + len(offsets),
-                single=single,
-                empty_targets=(
-                    np.asarray(empty, dtype=np.intp) if empty else None
-                ),
-            )
-        )
-        position += len(offsets)
-    return _BatchProgram(levels, np.asarray(cols_flat, dtype=np.intp))
-
-
 class _BatchStructure:
-    """The batch-compiled view of one topology: index-array programs
-    for the three period classes plus per-origin period-0 suffixes."""
+    """The batch-compiled view of one topology: the arc column order,
+    the three period classes' rows with delay-matrix columns in place
+    of delays, and the fused plans compiled from them."""
 
     def __init__(self, cg: CompiledGraph):
         graph = cg.graph
@@ -1113,28 +1002,8 @@ class _BatchStructure:
         self.n = n
         self._p1_rows = p1_rows
         self._ps_rows = ps_rows
-        self.p0 = _compile_batch_program(self._p0_rows, n)
-        self.p1 = _compile_batch_program(p1_rows, n)
-        self.ps = _compile_batch_program(ps_rows, n)
-        self._suffixes: Dict[int, _BatchProgram] = {}
         self._fused_plans: Dict[int, "_FusedPlan"] = {}
-        self._numba_arrays: Optional[tuple] = None
         self._lock = threading.Lock()
-
-    def p0_suffix(self, origin_id: int) -> _BatchProgram:
-        """The period-0 program restricted to rows after ``origin_id``.
-
-        Ids equal topological positions, so the instances an
-        event-initiated simulation computes in period 0 are exactly
-        the rows ``origin_id + 1 .. n - 1``; earlier rows stay at the
-        ``-inf`` sentinel, which the level gather reads back as
-        neglected arcs, exactly like the scalar kernel.
-        """
-        if origin_id not in self._suffixes:
-            self._suffixes[origin_id] = _compile_batch_program(
-                self._p0_rows[origin_id + 1:], self.n
-            )
-        return self._suffixes[origin_id]
 
     def fused_plan(self, span: int) -> "_FusedPlan":
         """The fused whole-period plan unrolled over ``span`` periods
@@ -1149,43 +1018,12 @@ class _BatchStructure:
                     self._fused_plans[span] = plan
         return plan
 
-    def numba_arrays(self) -> tuple:
-        """The period-class programs as flat ``(targets, starts,
-        offsets, cols)`` arrays — the input of the per-sample numba
-        (or pure-Python reference) interpreter."""
-        if self._numba_arrays is None:
-
-            def flat(rows):
-                starts = [0]
-                offsets: List[int] = []
-                cols: List[int] = []
-                targets: List[int] = []
-                for target, arcs in rows:
-                    targets.append(target)
-                    for offset, col in arcs:
-                        offsets.append(offset)
-                        cols.append(col)
-                    starts.append(len(offsets))
-                return (
-                    np.asarray(targets, dtype=np.intp),
-                    np.asarray(starts, dtype=np.intp),
-                    np.asarray(offsets, dtype=np.intp),
-                    np.asarray(cols, dtype=np.intp),
-                )
-
-            self._numba_arrays = (
-                flat(self._p0_rows),
-                flat(self._p1_rows),
-                flat(self._ps_rows),
-            )
-        return self._numba_arrays
-
 
 def _batch_structure_of(cg: CompiledGraph) -> _BatchStructure:
     """The (lazily built, cached) batch structure of a compiled graph.
 
     Adopted/rebound graphs carry the originating structure as a
-    *donor*; it is reused — fused plans, suffix programs and all — iff
+    *donor*; it is reused — fused plans and all — iff
     this graph's own arc insertion order matches the donor's column
     order (the matrix-column contract of :class:`BatchBindings`).
     """
@@ -1223,7 +1061,6 @@ class BatchBindings:
         if matrix.shape[0] < 1:
             raise SignalGraphError("need at least one delay binding")
         self.matrix = matrix
-        self._dmats: Dict[int, np.ndarray] = {}
         self._dmats_t: Dict[int, np.ndarray] = {}
 
     @classmethod
@@ -1249,16 +1086,8 @@ class BatchBindings:
         clone.base = self.base
         clone.structure = self.structure
         clone.matrix = self.matrix[lo:hi]
-        clone._dmats = {}
         clone._dmats_t = {}
         return clone
-
-    def delays_for(self, program: _BatchProgram) -> np.ndarray:
-        """The ``(S, arcs)`` delay block of one program (cached)."""
-        key = id(program)
-        if key not in self._dmats:
-            self._dmats[key] = self.matrix[:, program.cols]
-        return self._dmats[key]
 
     def delays_t_for(self, program: "_FusedProgram") -> np.ndarray:
         """The transposed ``(arcs, S)`` delay block of one fused
@@ -1271,90 +1100,9 @@ class BatchBindings:
         return self._dmats_t[key]
 
 
-def _batch_sweep(program: _BatchProgram, dmat: np.ndarray,
-                 buffer: np.ndarray, init: float) -> None:
-    """Relax one period's program for all S bindings at once.
-
-    Mirrors :func:`_sweep` with the sample axis vectorized: per level
-    one gather of the source slots, one in-place add of the delay
-    block, and one ``np.maximum.reduceat`` segment maximum scattered
-    back to the target slots (or a plain assignment when every row of
-    the level has a single in-arc).
-    """
-    for level in program.levels:
-        if level.empty_targets is not None:
-            buffer[:, level.empty_targets] = init
-        if level.hi > level.lo:
-            values = buffer[:, level.offsets]
-            values += dmat[:, level.lo:level.hi]
-            if level.single:
-                buffer[:, level.targets] = values
-            else:
-                buffer[:, level.targets] = np.maximum.reduceat(
-                    values, level.starts, axis=1
-                )
-
-
-def run_initiated_batch(
-    bindings: BatchBindings, origin_id: int, periods: int
-) -> np.ndarray:
-    """Initiator times of S event-initiated simulations in lockstep.
-
-    Returns an ``(S, periods)`` float64 array whose ``[s, i-1]`` entry
-    is ``t_{g_0}(g_i)`` under binding ``s`` (``-inf`` where the
-    initiator does not re-occur), bit-identical to S scalar
-    :func:`run_initiated` runs.
-    """
-    structure = bindings.structure
-    n = structure.n
-    samples = bindings.samples
-    profiler = active_profiler()
-    with _phase("run"):
-        buffer = np.full((samples, 2 * n), NEG_INF)
-        buffer[:, n + origin_id] = 0.0
-        p0 = structure.p0_suffix(origin_id)
-        _batch_sweep(p0, bindings.delays_for(p0), buffer, NEG_INF)
-        collected = np.full((samples, periods), NEG_INF)
-        column = n + origin_id
-        for period in range(1, periods + 1):
-            started = time.perf_counter() if profiler is not None else 0.0
-            buffer[:, :n] = buffer[:, n:]
-            program = structure.p1 if period == 1 else structure.ps
-            _batch_sweep(program, bindings.delays_for(program), buffer, NEG_INF)
-            collected[:, period - 1] = buffer[:, column]
-            if profiler is not None:
-                profiler.record_period(time.perf_counter() - started)
-    return collected
-
-
 # ----------------------------------------------------------------------
 # fused period programs
 # ----------------------------------------------------------------------
-#: Batch-kernel names accepted by the batch entry points.  ``auto``
-#: resolves to ``fused``; ``numba`` falls back to ``fused`` (with a
-#: warning) when numba is not importable, so it is never a dependency.
-BATCH_KERNELS = ("auto", "batch", "fused", "numba")
-
-
-def resolve_batch_kernel(kernel: Optional[str]) -> str:
-    """Normalise a batch-kernel selector to ``batch``/``fused``/``numba``."""
-    if kernel is None or kernel == "auto":
-        return "fused"
-    if kernel not in ("batch", "fused", "numba"):
-        raise SignalGraphError(
-            "unknown batch kernel %r (choose from %s)"
-            % (kernel, ", ".join(BATCH_KERNELS))
-        )
-    if kernel == "numba" and not numba_available():
-        warnings.warn(
-            "numba is not importable; falling back to the fused kernel",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "fused"
-    return kernel
-
-
 class _FusedLevel:
     """One dependency level of a fused program, degree-sorted.
 
@@ -1645,10 +1393,11 @@ def run_border_sweep_fused(
 ) -> List[np.ndarray]:
     """All border-initiated batch simulations as one fused sweep.
 
-    Returns one ``(S, periods)`` initiator-times table per origin (the
-    same tables :func:`run_initiated_batch` produces, bit-identically),
-    but computes them in a single slot-major ``(frames * n, b * S)``
-    buffer: the ``b`` origins are stacked along the sample axis, every
+    Returns one ``(S, periods)`` initiator-times table per origin —
+    row ``s``, column ``i-1`` is ``t_{g_0}(g_i)`` under binding ``s``
+    (``-inf`` where the initiator does not re-occur), bit-identical to
+    S scalar :func:`run_initiated` runs — computed in a single
+    slot-major ``(frames * n, b * S)`` buffer: the ``b`` origins are stacked along the sample axis, every
     level of every period is a handful of large vector ops, and the
     frame ring replaces the period-over-period buffer roll with
     precomputed index-array variants.
@@ -1717,155 +1466,6 @@ def run_border_sweep_fused(
             run_span(plan.tail[(period - 1) % frames], period)
             period += 1
     return [out[gi] for gi in range(stack)]
-
-
-# ----------------------------------------------------------------------
-# optional numba backend
-# ----------------------------------------------------------------------
-def _sweep_flat(matrix, n, periods, origin_ids,
-                p0_starts, p0_offsets, p0_cols,
-                p1_targets, p1_starts, p1_offsets, p1_cols,
-                ps_targets, ps_starts, ps_offsets, ps_cols,
-                out):
-    """Per-sample border sweep over flat program arrays.
-
-    Plain nested loops on purpose: this is both the pure-Python
-    reference interpreter (always available, used by the
-    cross-validation tests) and the function handed to ``numba.njit``
-    when numba is importable.  Relaxation order and arc order match
-    :func:`_sweep` exactly, so results are bit-identical to the
-    per-sample float64 kernel.
-    """
-    neg_inf = -np.inf
-    buffer = np.empty(2 * n, dtype=np.float64)
-    for gi in range(origin_ids.shape[0]):
-        origin = origin_ids[gi]
-        for s in range(matrix.shape[0]):
-            for i in range(2 * n):
-                buffer[i] = neg_inf
-            buffer[n + origin] = 0.0
-            for row in range(origin + 1, n):
-                best = neg_inf
-                for a in range(p0_starts[row], p0_starts[row + 1]):
-                    value = buffer[p0_offsets[a]] + matrix[s, p0_cols[a]]
-                    if value > best:
-                        best = value
-                buffer[n + row] = best
-            for period in range(1, periods + 1):
-                for i in range(n):
-                    buffer[i] = buffer[n + i]
-                if period == 1:
-                    targets, starts = p1_targets, p1_starts
-                    offsets, cols = p1_offsets, p1_cols
-                else:
-                    targets, starts = ps_targets, ps_starts
-                    offsets, cols = ps_offsets, ps_cols
-                for row in range(targets.shape[0]):
-                    best = neg_inf
-                    for a in range(starts[row], starts[row + 1]):
-                        value = buffer[offsets[a]] + matrix[s, cols[a]]
-                        if value > best:
-                            best = value
-                    buffer[targets[row]] = best
-                out[gi, s, period - 1] = buffer[n + origin]
-    return out
-
-
-_numba_fn = None
-_numba_failed = False
-
-
-def _numba_compiled():
-    """The njit-compiled :func:`_sweep_flat`, or ``None``.
-
-    Compilation is attempted once; any failure (numba missing, numba
-    present but unable to target this platform) permanently selects
-    the fallback so sweeps never re-pay a failing import.
-    """
-    global _numba_fn, _numba_failed
-    if _numba_fn is None and not _numba_failed:
-        try:
-            import numba
-
-            _numba_fn = numba.njit(cache=False, fastmath=False)(_sweep_flat)
-        except Exception:
-            _numba_failed = True
-    return _numba_fn
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be used."""
-    return _numba_compiled() is not None
-
-
-def run_border_sweep_numba(
-    bindings: BatchBindings,
-    origin_ids: Sequence[int],
-    periods: int,
-    force_interpreter: bool = False,
-) -> List[np.ndarray]:
-    """The border sweep through the flat per-sample period loop.
-
-    Uses the njit-compiled loop when numba is importable, the
-    pure-Python reference interpreter otherwise (or when
-    ``force_interpreter`` is set — the cross-validation tests exercise
-    the exact code numba compiles without needing numba installed).
-    Returns the same per-origin ``(S, periods)`` tables as
-    :func:`run_border_sweep_fused`, bit-identically.
-    """
-    global _numba_failed
-    structure = bindings.structure
-    (_, p0_starts, p0_offsets, p0_cols), p1_flat, ps_flat = (
-        structure.numba_arrays()
-    )
-    p1_targets, p1_starts, p1_offsets, p1_cols = p1_flat
-    ps_targets, ps_starts, ps_offsets, ps_cols = ps_flat
-    origin_arr = np.asarray(list(origin_ids), dtype=np.intp)
-    out = np.full((origin_arr.shape[0], bindings.samples, periods), NEG_INF)
-    fn = None if force_interpreter else _numba_compiled()
-    profiler = active_profiler()
-    with _phase("run"):
-        started = time.perf_counter()
-        args = (
-            bindings.matrix, structure.n, periods, origin_arr,
-            p0_starts, p0_offsets, p0_cols,
-            p1_targets, p1_starts, p1_offsets, p1_cols,
-            ps_targets, ps_starts, ps_offsets, ps_cols,
-            out,
-        )
-        if fn is not None:
-            try:
-                fn(*args)
-            except Exception:
-                # typing/lowering failures surface at first call; fall
-                # back for good rather than failing every sweep
-                _numba_failed = True
-                _sweep_flat(*args)
-        else:
-            _sweep_flat(*args)
-        if profiler is not None and periods:
-            share = (time.perf_counter() - started) / periods
-            for _ in range(periods):
-                profiler.record_period(share)
-    return [out[gi] for gi in range(origin_arr.shape[0])]
-
-
-def _run_chunk_tables(
-    bindings: BatchBindings,
-    origin_ids: Sequence[int],
-    periods: int,
-    kernel: str,
-    unroll: Optional[int],
-) -> List[np.ndarray]:
-    """One chunk's per-origin initiator tables under one batch kernel."""
-    if kernel == "batch":
-        return [
-            run_initiated_batch(bindings, origin_id, periods)
-            for origin_id in origin_ids
-        ]
-    if kernel == "numba":
-        return run_border_sweep_numba(bindings, origin_ids, periods)
-    return run_border_sweep_fused(bindings, origin_ids, periods, unroll)
 
 
 class BatchSweepResult:
@@ -1987,19 +1587,15 @@ def run_border_simulations_batch(
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
     executor: Optional[str] = None,
-    kernel: Optional[str] = None,
     unroll: Optional[int] = None,
 ) -> BatchSweepResult:
     """Sweep all S delay bindings through every border simulation.
 
     ``delays`` is a :class:`BatchBindings` or an ``(S, m)`` matrix in
-    graph arc order.  ``kernel`` picks the batch kernel
-    (:data:`BATCH_KERNELS`; ``auto`` resolves to the fused
-    whole-period programs, ``batch`` keeps the per-level index-array
-    sweep, ``numba`` JIT-compiles the per-sample loop when numba is
-    importable) — every kernel produces bit-identical float64 tables.
-    ``unroll`` forces the fused period-unroll span (default: automatic
-    by border count).  ``batch_size`` bounds memory by splitting the S
+    graph arc order; every chunk runs the fused sweep
+    (:func:`run_border_sweep_fused`).  ``unroll`` forces the fused
+    period-unroll span (default: automatic by border count).
+    ``batch_size`` bounds memory by splitting the S
     bindings into chunks; ``workers`` fans the chunks out, either over
     a thread pool (``executor="thread"``, the default — NumPy releases
     the GIL inside the large vector ops, so chunked sweeps overlap) or
@@ -2020,7 +1616,6 @@ def run_border_simulations_batch(
             "unknown executor %r (expected one of %s)"
             % (executor, ", ".join(EXECUTORS))
         )
-    kernel = resolve_batch_kernel(kernel)
 
     cg = compiled_graph(graph)
     if isinstance(delays, BatchBindings):
@@ -2039,16 +1634,11 @@ def run_border_simulations_batch(
     if periods is None:
         periods = len(border)
     origin_ids = [cg.id_of[event] for event in border]
-    structure = bindings.structure
-    # Compile the shared programs before any fan-out so worker threads
-    # never race on the lazily-built caches.
-    if kernel == "batch":
-        for origin_id in origin_ids:
-            structure.p0_suffix(origin_id)
-    elif kernel == "numba":
-        structure.numba_arrays()
-    else:
-        structure.fused_plan(_resolve_unroll(unroll, len(origin_ids), periods))
+    # Compile the shared plan before any fan-out so worker threads
+    # never race on the lazily-built cache.
+    bindings.structure.fused_plan(
+        _resolve_unroll(unroll, len(origin_ids), periods)
+    )
     samples = bindings.samples
     if batch_size is None and executor == "process" and workers and workers > 1:
         # default to one chunk per pool worker so the sweep actually
@@ -2067,7 +1657,7 @@ def run_border_simulations_batch(
     def run_chunk(span: Tuple[int, int]):
         lo, hi = span
         chunk = bindings if (lo, hi) == (0, samples) else bindings.subset(lo, hi)
-        return _run_chunk_tables(chunk, origin_ids, periods, kernel, unroll)
+        return run_border_sweep_fused(chunk, origin_ids, periods, unroll)
 
     if executor == "process" and workers is not None and workers > 1:
         token, blob = _pool_payload(bindings.base)
@@ -2084,7 +1674,7 @@ def run_border_simulations_batch(
             futures = [
                 _submit_chunk(
                     pool, token, blob, shared, bindings.matrix,
-                    lo, hi, origin_ids, periods, kernel, unroll,
+                    lo, hi, origin_ids, periods, unroll,
                 )
                 for lo, hi in ranges
             ]

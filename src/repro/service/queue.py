@@ -72,14 +72,12 @@ class RequestCoalescer:
     max_batch_samples:
         Upper bound on the summed sample count of one dispatched batch;
         a group larger than this is split over several kernel calls.
-    kernel_executor / kernel_workers / kernel_batch_size / kernel:
+    kernel_executor / kernel_workers / kernel_batch_size:
         Passed through to
         :func:`~repro.core.kernel.run_border_simulations_batch`:
         ``kernel_workers > 1`` fans each dispatched batch's chunks over
         a thread pool (``"thread"``) or the shared kernel process pool
-        (``"process"`` — sweeps escape the GIL); ``kernel`` picks the
-        batch kernel tier (``"auto"``/``"batch"``/``"fused"``/
-        ``"numba"``).
+        (``"process"`` — sweeps escape the GIL).
 
     ``stats`` counts ``requests``, ``batches``, ``coalesced_requests``
     (requests that shared their batch with at least one other) and
@@ -93,7 +91,6 @@ class RequestCoalescer:
         kernel_executor: str = "thread",
         kernel_workers: int = 0,
         kernel_batch_size: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if max_batch_samples < 1:
             raise ValueError("max_batch_samples must be positive")
@@ -102,7 +99,6 @@ class RequestCoalescer:
         self.kernel_executor = kernel_executor
         self.kernel_workers = kernel_workers
         self.kernel_batch_size = kernel_batch_size
-        self.kernel = kernel
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -321,6 +317,5 @@ class RequestCoalescer:
                     batch_size=self.kernel_batch_size,
                     workers=self.kernel_workers or None,
                     executor=self.kernel_executor,
-                    kernel=self.kernel,
                 )
                 return sweep.cycle_times()

@@ -190,7 +190,6 @@ class ServiceConfig:
     kernel_executor: str = "thread"  # batch-sweep chunk executor
     kernel_workers: int = 0          # 0 = no chunk fan-out
     kernel_batch_size: Optional[int] = None  # chunk size override
-    batch_kernel: Optional[str] = None  # auto/batch/fused/numba tier
     adaptive: bool = True            # AIMD limiter under --max-inflight
     brownout: bool = False           # degrade /montecarlo under pressure
     brownout_floor: int = 64         # smallest degraded sample count
@@ -222,7 +221,6 @@ class AnalysisService:
             kernel_executor=self.config.kernel_executor,
             kernel_workers=self.config.kernel_workers,
             kernel_batch_size=self.config.kernel_batch_size,
-            kernel=self.config.batch_kernel,
         )
         self.coalescer.stats.share_lock(self.stats_lock)
         # The old static knobs survive as hard bounds: the limiter may

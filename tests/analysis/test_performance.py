@@ -7,6 +7,8 @@ import pytest
 from repro.analysis import analyze, steady_state_potentials
 from repro.core import TimedSignalGraph, Transition
 from repro.core.errors import SignalGraphError
+from repro.generators import ptime_wrap, ring_with_chords
+from repro.ptime import check_consistency
 
 
 def T(text):
@@ -38,6 +40,33 @@ class TestPotentials:
             isinstance(value, (int, Fraction))
             for value in report.potentials.values()
         )
+
+
+class TestFloatDelays:
+    """Float λ rounded below the exact cycle time of the float delays
+    must not read as a positive cycle."""
+
+    @staticmethod
+    def scaled(seed):
+        graph = ring_with_chords(12, 3, 4, seed=seed)
+        for arc in graph.arcs:
+            graph.set_delay(arc.source, arc.target, arc.delay * 1.1)
+        assert not graph.is_exact
+        return graph
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_analyze(self, seed):
+        graph = self.scaled(seed)
+        report = analyze(graph)
+        assert all(isinstance(p, float) for p in report.potentials.values())
+        for slack in report.slacks.values():
+            assert slack >= -1e-9
+        assert report.critical_arcs
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ptime_wrap_is_consistent(self, seed):
+        wrapped = ptime_wrap(self.scaled(seed), seed=seed)
+        assert check_consistency(wrapped).consistent
 
 
 class TestSlacks:

@@ -1,14 +1,12 @@
-"""Cross-validation of the fused period-program kernel (and numba tier).
+"""Cross-validation of the fused period-program kernel.
 
-Every batch kernel — the per-level ``batch`` sweep, the ``fused``
-whole-period programs, and the ``numba`` per-sample loop (or its
-pure-Python reference interpreter) — runs the same IEEE float64
-additions and maximums in a semantically identical order, so their
-initiator-time tables, λ values and backtracked critical cycles must
-agree **bit for bit** with each other and with the per-sample float
-kernel.  These tests pin that invariant across random topologies,
-degenerate shapes (b=1, S=1, single-level graphs) and every unroll
-span the fused planner can choose.
+The fused whole-period programs run the same IEEE float64 additions
+and maximums as the per-sample float kernel, in a different layout, so
+their initiator-time tables, λ values and backtracked critical cycles
+must agree **bit for bit** with it.  These tests pin that invariant
+across random topologies, degenerate shapes (b=1, S=1, single-level
+graphs), every unroll span the fused planner can choose, and the plan
+caching that rides along the compile cache's adopt/rebound paths.
 """
 
 from __future__ import annotations
@@ -24,22 +22,17 @@ from repro.circuits.library import (
     oscillator_tsg,
 )
 from repro.core import (
-    SignalGraphError,
     compiled_graph,
     compute_cycle_time,
     rebind_compiled,
     run_border_simulations_batch,
 )
 from repro.core.kernel import (
-    BATCH_KERNELS,
+    NEG_INF,
     BatchBindings,
     CompiledGraph,
     _batch_structure_of,
-    numba_available,
-    resolve_batch_kernel,
     run_border_sweep_fused,
-    run_border_sweep_numba,
-    run_initiated_batch,
 )
 from repro.core.signal_graph import TimedSignalGraph
 from repro.generators import ring_with_chords
@@ -79,13 +72,25 @@ def _per_sample(graph, matrix, index, **kwargs):
     )
 
 
-def _tables(graph, matrix, kernel, **kwargs):
-    sweep = run_border_simulations_batch(
-        graph, matrix, kernel=kernel, **kwargs
-    )
+def _tables(graph, matrix, **kwargs):
+    sweep = run_border_simulations_batch(graph, matrix, **kwargs)
     return sweep, {
         event: table for event, table in sweep.initiator_times.items()
     }
+
+
+def _reference_tables(graph, matrix):
+    """Per-border ``(S, b)`` initiator tables of the per-sample path."""
+    border = graph.border_events
+    tables = {
+        event: np.full((len(matrix), len(border)), NEG_INF)
+        for event in border
+    }
+    for index in range(len(matrix)):
+        reference = _per_sample(graph, matrix, index, backtrack=False)
+        for record in reference.distances:
+            tables[record.border_event][index, record.period - 1] = record.time
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -93,24 +98,10 @@ def _tables(graph, matrix, kernel, **kwargs):
 # ----------------------------------------------------------------------
 @COMMON
 @given(graph=live_tsgs())
-def test_fused_tables_bit_identical_to_batch(graph):
-    clone = _floatified(graph)
-    matrix = _random_matrix(clone, SAMPLES, seed=0)
-    _, batch = _tables(clone, matrix, "batch")
-    _, fused = _tables(clone, matrix, "fused")
-    assert batch.keys() == fused.keys()
-    for event, table in batch.items():
-        assert np.array_equal(table, fused[event])
-
-
-@COMMON
-@given(graph=live_tsgs())
 def test_fused_lambda_bit_identical_to_per_sample(graph):
     clone = _floatified(graph)
     matrix = _random_matrix(clone, SAMPLES, seed=1)
-    lambdas = run_border_simulations_batch(
-        clone, matrix, kernel="fused"
-    ).cycle_times()
+    lambdas = run_border_simulations_batch(clone, matrix).cycle_times()
     for index in range(SAMPLES):
         reference = _per_sample(clone, matrix, index, backtrack=False)
         assert lambdas[index] == float(reference.cycle_time)
@@ -121,7 +112,7 @@ def test_fused_lambda_bit_identical_to_per_sample(graph):
 def test_fused_backtracked_cycles_match_per_sample(graph):
     clone = _floatified(graph)
     matrix = _random_matrix(clone, SAMPLES, seed=2)
-    sweep = run_border_simulations_batch(clone, matrix, kernel="fused")
+    sweep = run_border_simulations_batch(clone, matrix)
     for index in range(SAMPLES):
         reference = _per_sample(clone, matrix, index)
         lazy = sweep.sample_result(index)
@@ -139,30 +130,9 @@ def test_fused_agrees_with_exact_oracle(graph):
     matrix = np.asarray(
         [[float(arc.delay) for arc in graph.arcs]], dtype=np.float64
     )
-    fused = run_border_simulations_batch(
-        graph, matrix, kernel="fused"
-    ).cycle_times()
+    fused = run_border_simulations_batch(graph, matrix).cycle_times()
     exact = compute_cycle_time(graph, check=False, kernel="exact")
     assert fused[0] == pytest.approx(float(exact.cycle_time), rel=1e-12)
-
-
-@COMMON
-@given(graph=live_tsgs())
-def test_numba_interpreter_bit_identical_to_fused(graph):
-    # force_interpreter exercises the exact loop numba would compile,
-    # without requiring numba in the environment.
-    clone = _floatified(graph)
-    matrix = _random_matrix(clone, SAMPLES, seed=3)
-    cg = compiled_graph(clone)
-    bindings = BatchBindings(cg, matrix)
-    origins = [cg.id_of[event] for event in clone.border_events]
-    periods = len(clone.border_events)
-    fused = run_border_sweep_fused(bindings, origins, periods)
-    interp = run_border_sweep_numba(
-        bindings, origins, periods, force_interpreter=True
-    )
-    for expected, got in zip(fused, interp):
-        assert np.array_equal(expected, got)
 
 
 # ----------------------------------------------------------------------
@@ -179,19 +149,15 @@ def test_numba_interpreter_bit_identical_to_fused(graph):
     ],
     ids=["oscillator", "pipeline7", "pipeline2", "muller5", "stack"],
 )
-@pytest.mark.filterwarnings(
-    "ignore:numba is not importable:RuntimeWarning"
-)
 def test_odd_shapes_bit_identical(factory):
     graph = _floatified(factory())
     for samples in (1, 3):  # S=1 exercises the degenerate sample axis
         matrix = _random_matrix(graph, samples, seed=samples)
-        _, batch = _tables(graph, matrix, "batch")
-        _, fused = _tables(graph, matrix, "fused")
-        _, numba_t = _tables(graph, matrix, "numba")
-        for event, table in batch.items():
+        _, fused = _tables(graph, matrix)
+        reference = _reference_tables(graph, matrix)
+        assert fused.keys() == reference.keys()
+        for event, table in reference.items():
             assert np.array_equal(table, fused[event])
-            assert np.array_equal(table, numba_t[event])
 
 
 @pytest.mark.parametrize("unroll", [1, 2, 3, 4])
@@ -201,59 +167,22 @@ def test_forced_unroll_spans_bit_identical(unroll):
     graph = _floatified(ring_with_chords(stages=24, tokens=4, chords=6,
                                          seed=9))
     matrix = _random_matrix(graph, 4, seed=unroll)
-    _, batch = _tables(graph, matrix, "batch")
-    _, fused = _tables(graph, matrix, "fused", unroll=unroll)
-    for event, table in batch.items():
+    _, fused = _tables(graph, matrix, unroll=unroll)
+    for event, table in _reference_tables(graph, matrix).items():
         assert np.array_equal(table, fused[event])
 
 
 def test_single_period_sweep():
     # periods == 1 leaves no room for any steady span: p0 + p1 only.
     graph = _floatified(linear_pipeline_tsg(stages=4))
+    assert len(graph.border_events) == 1  # so the reference runs 1 period
     matrix = _random_matrix(graph, 3, seed=5)
     cg = compiled_graph(graph)
     origins = [cg.id_of[event] for event in graph.border_events]
     fused = run_border_sweep_fused(BatchBindings(cg, matrix), origins, 1)
-    for origin, table in zip(origins, fused):
-        reference = run_initiated_batch(BatchBindings(cg, matrix), origin, 1)
-        assert np.array_equal(table, reference)
-
-
-# ----------------------------------------------------------------------
-# kernel registry
-# ----------------------------------------------------------------------
-def test_registry_auto_resolves_to_fused():
-    assert resolve_batch_kernel(None) == "fused"
-    assert resolve_batch_kernel("auto") == "fused"
-    assert resolve_batch_kernel("batch") == "batch"
-    assert set(BATCH_KERNELS) == {"auto", "batch", "fused", "numba"}
-
-
-def test_registry_rejects_unknown_kernel():
-    with pytest.raises(SignalGraphError):
-        resolve_batch_kernel("gpu")
-    graph = _floatified(oscillator_tsg())
-    with pytest.raises(SignalGraphError):
-        run_border_simulations_batch(
-            graph, _random_matrix(graph, 2, seed=0), kernel="exact"
-        )
-
-
-def test_numba_fallback_warns_when_unavailable():
-    if numba_available():
-        pytest.skip("numba importable: no fallback to exercise")
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert resolve_batch_kernel("numba") == "fused"
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_compiled_bit_identical_to_fused():
-    graph = _floatified(muller_ring_tsg(stages=6))
-    matrix = _random_matrix(graph, 4, seed=13)
-    _, fused = _tables(graph, matrix, "fused")
-    _, jit = _tables(graph, matrix, "numba")
-    for event, table in fused.items():
-        assert np.array_equal(table, jit[event])
+    reference = _reference_tables(graph, matrix)
+    for event, table in zip(graph.border_events, fused):
+        assert np.array_equal(table, reference[event])
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +193,7 @@ def test_adopt_carries_fused_plans_as_donor():
                                          seed=2))
     cg = compiled_graph(graph)
     matrix = _random_matrix(graph, 3, seed=0)
-    run_border_simulations_batch(graph, matrix, kernel="fused")
+    run_border_simulations_batch(graph, matrix)
     structure = _batch_structure_of(cg)
     assert structure._fused_plans  # warmed by the sweep
 
@@ -275,12 +204,8 @@ def test_adopt_carries_fused_plans_as_donor():
     assert adopted._batch_structure is None
     assert _batch_structure_of(adopted) is structure
 
-    sweep = run_border_simulations_batch(
-        twin, matrix, kernel="fused"
-    ).cycle_times()
-    original = run_border_simulations_batch(
-        graph, matrix, kernel="fused"
-    ).cycle_times()
+    sweep = run_border_simulations_batch(twin, matrix).cycle_times()
+    original = run_border_simulations_batch(graph, matrix).cycle_times()
     assert np.array_equal(sweep, original)
 
 
@@ -288,9 +213,7 @@ def test_rebound_carries_fused_plans_as_donor():
     graph = _floatified(ring_with_chords(stages=16, tokens=3, chords=4,
                                          seed=3))
     cg = compiled_graph(graph)
-    run_border_simulations_batch(
-        graph, _random_matrix(graph, 2, seed=1), kernel="fused"
-    )
+    run_border_simulations_batch(graph, _random_matrix(graph, 2, seed=1))
     structure = _batch_structure_of(cg)
 
     trial = graph.copy()
@@ -304,9 +227,7 @@ def test_donor_dropped_when_arc_order_differs():
     graph = _floatified(ring_with_chords(stages=10, tokens=2, chords=3,
                                          seed=4))
     cg = compiled_graph(graph)
-    run_border_simulations_batch(
-        graph, _random_matrix(graph, 2, seed=2), kernel="fused"
-    )
+    run_border_simulations_batch(graph, _random_matrix(graph, 2, seed=2))
     donor = _batch_structure_of(cg)
 
     # Same content, different arc insertion order: the donor's column
@@ -324,13 +245,10 @@ def test_donor_dropped_when_arc_order_differs():
     assert fresh is not donor
 
     matrix = _random_matrix(reordered, 3, seed=5)
-    got = run_border_simulations_batch(
-        reordered, matrix, kernel="fused"
-    ).cycle_times()
-    want = run_border_simulations_batch(
-        reordered, matrix, kernel="batch"
-    ).cycle_times()
-    assert np.array_equal(got, want)
+    got = run_border_simulations_batch(reordered, matrix).cycle_times()
+    for index in range(3):
+        reference = _per_sample(reordered, matrix, index, backtrack=False)
+        assert got[index] == float(reference.cycle_time)
 
 
 def test_pickle_roundtrip_drops_donor_and_still_sweeps():
@@ -340,18 +258,14 @@ def test_pickle_roundtrip_drops_donor_and_still_sweeps():
                                          seed=6))
     cg = compiled_graph(graph)
     matrix = _random_matrix(graph, 3, seed=7)
-    want = run_border_simulations_batch(
-        graph, matrix, kernel="fused"
-    ).cycle_times()
+    want = run_border_simulations_batch(graph, matrix).cycle_times()
     clone = pickle.loads(pickle.dumps(cg))
     assert clone._batch_donor is None
     origins = [clone.id_of[event] for event in graph.border_events]
     fused = run_border_sweep_fused(
         BatchBindings(clone, matrix), origins, len(origins)
     )
-    reference = run_border_simulations_batch(
-        graph, matrix, kernel="fused"
-    )
+    reference = run_border_simulations_batch(graph, matrix)
     for event, table in zip(graph.border_events, fused):
         assert np.array_equal(table, reference.initiator_times[event])
     assert np.array_equal(want, reference.cycle_times())

@@ -14,10 +14,14 @@ import pytest
 import repro.core.kernel as kernel_mod
 from repro.analysis.montecarlo import monte_carlo_cycle_time, uniform_spread
 from repro.circuits.library import async_stack_tsg, oscillator_tsg
+from repro.core.cycle_time import compute_cycle_time
 from repro.core.errors import SignalGraphError
 from repro.core.kernel import (
+    BatchBindings,
     compiled_graph,
+    rebind_compiled,
     run_border_simulations_batch,
+    run_border_sweep_fused,
     shutdown_process_pool,
 )
 
@@ -102,12 +106,15 @@ class TestCompiledGraphShipping:
         cg = compiled_graph(graph)
         clone = pickle.loads(pickle.dumps(cg))
         matrix = _matrix(graph, 12)
-        from repro.core.kernel import BatchBindings, run_initiated_batch
-
-        origin = cg.id_of[graph.border_events[0]]
-        original = run_initiated_batch(BatchBindings(cg, matrix), origin, 3)
-        shipped = run_initiated_batch(BatchBindings(clone, matrix), origin, 3)
-        assert np.array_equal(original, shipped)
+        origins = [cg.id_of[event] for event in graph.border_events]
+        original = run_border_sweep_fused(
+            BatchBindings(cg, matrix), origins, 3
+        )
+        shipped = run_border_sweep_fused(
+            BatchBindings(clone, matrix), origins, 3
+        )
+        for want, got in zip(original, shipped):
+            assert np.array_equal(want, got)
 
     def test_chunk_dispatch_never_pickles_delay_matrix(self, stack,
                                                        monkeypatch):
@@ -143,7 +150,7 @@ class TestCompiledGraphShipping:
         assert shipped
         for args in shipped:
             # (token, blob, shm_name, shm_shape, untrack, lo, hi,
-            #  origin_ids, periods, kernel, unroll, matrix=None)
+            #  origin_ids, periods, unroll, matrix=None)
             assert not any(isinstance(arg, np.ndarray) for arg in args)
             assert args[-1] is None           # the matrix slot
             assert isinstance(args[2], str)   # the shared-block name
@@ -175,20 +182,30 @@ class TestCompiledGraphShipping:
         assert kernel_mod._SHM_STATS["fallback"] == before + 1
         assert np.array_equal(single.cycle_times(), pooled.cycle_times())
 
-    @pytest.mark.filterwarnings(
-        "ignore:numba is not importable:RuntimeWarning"
-    )
     def test_all_kernels_bit_identical_through_process_pool(self, stack):
+        # The per-sample float kernel is the reference: the fused sweep
+        # must reproduce its cycle times bit for bit through the pool
+        # at automatic and forced unroll spans, with one chunk per
+        # worker and with several chunks per worker.
         matrix = _matrix(stack, 24)
-        want = run_border_simulations_batch(
-            stack, matrix, kernel="batch"
-        ).cycle_times()
-        for kern in ("batch", "fused", "numba"):
-            got = run_border_simulations_batch(
-                stack, matrix.copy(), workers=2, executor="process",
-                kernel=kern,
-            ).cycle_times()
-            assert np.array_equal(want, got)
+        base = compiled_graph(stack)
+        want = []
+        for row in matrix:
+            trial = stack.copy()
+            for arc, value in zip(stack.arcs, row):
+                trial.set_delay(arc.source, arc.target, float(value))
+            rebind_compiled(trial, base)
+            want.append(compute_cycle_time(
+                trial, check=False, kernel="float", keep_simulations=False,
+            ).cycle_time)
+        want = np.asarray(want)
+        for unroll in (None, 1, 2, 4):
+            for batch_size in (None, 5):
+                got = run_border_simulations_batch(
+                    stack, matrix.copy(), workers=2, executor="process",
+                    unroll=unroll, batch_size=batch_size,
+                ).cycle_times()
+                assert np.array_equal(want, got)
 
     def test_cleanup_hook_unlinks_leaked_blocks(self):
         # The atexit sweep must reap blocks a crashed sweep left
