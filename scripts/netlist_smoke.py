@@ -17,7 +17,10 @@ Three legs, mirroring the acceptance criteria of the netlist front end:
    round-trips c17 through structural Verilog.
 3. **Service** — a spawned ``repro serve`` daemon answers
    ``POST /netlist`` for c17 and mult16, the repeated request hits the
-   result cache, and the daemon shuts down cleanly on SIGINT.
+   result cache, mult16 with ``"extraction": "oracle"`` runs out of its
+   width-derived state budget and gets a structured 422
+   ``StateSpaceLimitError`` within 5 s, and the daemon shuts down
+   cleanly on SIGINT.
 
 Exit code 0 means the whole loop works; this is the CI netlist smoke
 job.
@@ -48,7 +51,7 @@ from repro.netlist import (  # noqa: E402
     ring_wrap,
     structural_extract,
 )
-from repro.service.client import ServiceClient, free_port  # noqa: E402
+from repro.service.client import ServiceClient, ServiceError, free_port  # noqa: E402
 
 GOLDEN = {"c17": 8, "rca8": 22, "sreg16": 132, "mult16": 91}
 
@@ -204,8 +207,22 @@ def service_leg() -> int:
             % (big["cycle_time"], big["extraction"], big["method"], elapsed)
         )
 
+        started = time.perf_counter()
+        try:
+            client.netlist(mult16, name="mult16", extraction="oracle")
+        except ServiceError as error:
+            elapsed = time.perf_counter() - started
+            if (error.status, error.kind) != (422, "StateSpaceLimitError"):
+                return daemon_fail("mult16 oracle: %s" % error)
+        else:
+            return daemon_fail("mult16 oracle extraction fit its state budget")
+        if elapsed > 5.0:
+            return daemon_fail("mult16 oracle 422 took %.2fs (limit 5s)" % elapsed)
+        print("smoke: /netlist mult16 oracle -> 422 StateSpaceLimitError in %.2fs"
+              % elapsed)
+
         stats = client.stats()
-        if stats["requests"].get("netlist", 0) < 3:
+        if stats["requests"].get("netlist", 0) < 4:
             return daemon_fail("netlist request counter: %r"
                                % stats["requests"])
     except Exception as error:  # noqa: BLE001 — smoke harness boundary

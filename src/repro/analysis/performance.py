@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
+from ..baselines.howard import max_cycle_ratio_howard
 from ..core.arithmetic import Number, numbers_close
 from ..core.cycle_time import CycleTimeResult, compute_cycle_time
 from ..core.cycles import Cycle, make_cycle
@@ -138,8 +139,6 @@ def steady_state_potentials(
     ]
     if graph.is_exact:
         return _longest_paths(nodes, arcs, cycle_time)
-    # imported here: the repro.baselines package imports scipy
-    from ..baselines.howard import max_cycle_ratio_howard
 
     exact_graph = graph.copy()
     for arc in graph.arcs:

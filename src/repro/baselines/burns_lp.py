@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.errors import AcyclicGraphError, SignalGraphError
 from ..core.signal_graph import Event, TimedSignalGraph
@@ -51,6 +50,8 @@ class LPSolution:
 
 def cycle_time_lp(graph: TimedSignalGraph) -> LPSolution:
     """Solve Burns' LP for the repetitive core of ``graph``."""
+    from scipy.optimize import linprog  # only this method needs scipy
+
     repetitive = graph.repetitive_events
     if not repetitive:
         raise AcyclicGraphError("graph %r has no cycles" % graph.name)

@@ -11,8 +11,9 @@ initial state it
    that are *necessary* (flipping them would disable the new output
    value — the controlling-value test) and *new* (occurred since the
    gate's previous output transition);
-3. detects the quasi-periodic regime — the configuration snapshot
-   (signal values, pending stimuli, per-gate news) eventually repeats;
+3. detects the quasi-periodic regime — the first configuration
+   (signal values, pending stimuli, per-gate news) that repeats, found
+   through a hash and decided by exact comparison;
 4. folds the trace into a Timed Signal Graph: causes inside the
    periodic window become arcs (marked when they cross a window
    boundary), causes out of the non-repetitive prefix become
@@ -28,10 +29,12 @@ contract of rejecting non-distributive circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import heapq
+import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.errors import DistributivityError, ExtractionError
+from ..core.errors import DistributivityError, ExtractionError, NotSemiModularError
 from ..core.events import FALL, RISE, Transition
 from ..core.signal_graph import TimedSignalGraph
 from .gates import evaluate
@@ -88,55 +91,92 @@ class Trace:
         return self.fired[start : start + self.window]
 
 
+def _hash_tokens(count: int) -> List[int]:
+    """``count`` fixed 64-bit Zobrist tokens.
+
+    A hash hit only proposes a repeat and every proposal is checked
+    exactly, so the tokens need no property beyond being fixed.
+    """
+    rng = random.Random(0)
+    return [rng.getrandbits(64) for _ in range(count)]
+
+
 class _Simulator:
-    """Serialised untimed simulation with cause recording."""
+    """Serialised untimed simulation with cause recording.
+
+    Always fires the lexicographically smallest excited signal.  The
+    excited set is kept incrementally (a lazy heap and a fanout map),
+    so a firing costs O(fanout) rather than O(gates), and so is a
+    64-bit Zobrist ``hash`` of the :meth:`snapshot`: which signals are
+    1, which stimuli are pending and which (gate, input) news entries
+    exist.  A firing that disables another excited gate raises
+    :class:`~repro.core.errors.NotSemiModularError`.
+    """
 
     def __init__(self, netlist: Netlist):
         netlist.validate()
         self.netlist = netlist
         self.values: Dict[str, int] = netlist.initial_state()
         self.pending_stimuli: Set[str] = {s.signal for s in netlist.stimuli}
+        self.gate_of: Dict[str, Gate] = {gate.output: gate for gate in netlist.gates}
         # For each gate output: the trace index of the last transition of
         # each input that happened since the gate last fired.
-        self.news: Dict[str, Dict[str, int]] = {
-            gate.output: {} for gate in netlist.gates
-        }
+        self.news: Dict[str, Dict[str, int]] = {output: {} for output in self.gate_of}
         self.occurrences: Dict[Tuple[str, str], int] = {}
         self.trace: List[FiredTransition] = []
 
-    # -- scheduling ----------------------------------------------------
-    def excited(self) -> List[str]:
-        excited = [
-            gate.output
-            for gate in self.netlist.gates
-            if gate.evaluate(self.values) != self.values[gate.output]
-        ]
-        excited.extend(self.pending_stimuli)
-        return sorted(excited)
+        self.fanout: Dict[str, List[Gate]] = {}
+        pins = []
+        for gate in self.gate_of.values():
+            for name in dict.fromkeys(gate.inputs):
+                self.fanout.setdefault(name, []).append(gate)
+                pins.append((gate.output, name))
+        tokens = _hash_tokens(2 * len(self.values) + len(pins))
+        self._value_token = dict(zip(self.values, tokens))
+        self._stimulus_token = dict(zip(self.values, tokens[len(self.values):]))
+        self._news_token = dict(zip(pins, tokens[2 * len(self.values):]))
+        self.hash = 0
+        for signal, value in self.values.items():
+            if value:
+                self.hash ^= self._value_token[signal]
+        for signal in self.pending_stimuli:
+            self.hash ^= self._stimulus_token[signal]
+
+        self.excited: Set[str] = {
+            output for output, gate in self.gate_of.items()
+            if gate.evaluate(self.values) != self.values[output]
+        } | self.pending_stimuli
+        self._heap: List[str] = sorted(self.excited)
+
+    def min_excited(self) -> Optional[str]:
+        """The lexicographically smallest excited signal: the next to fire."""
+        heap = self._heap
+        while heap and heap[0] not in self.excited:
+            heapq.heappop(heap)  # stale entry: the signal already fired
+        return heap[0] if heap else None
 
     def snapshot(self):
-        """Configuration determining all future behaviour."""
-        news = tuple(
-            (output, frozenset(changed))
-            for output, changed in sorted(self.news.items())
-        )
+        """The configuration that determines all future behaviour."""
         return (
-            tuple(sorted(self.values.items())),
+            tuple(self.values.values()),
             frozenset(self.pending_stimuli),
-            news,
+            tuple(frozenset(news) for news in self.news.values()),
         )
 
-    # -- firing --------------------------------------------------------
     def fire(self, signal: str) -> FiredTransition:
-        old = self.values[signal]
-        new = 1 - old
-        if self.netlist.is_input(signal):
+        new = 1 - self.values[signal]
+        gate = self.gate_of.get(signal)
+        if gate is None:  # a stimulated input
             causes: Tuple[int, ...] = ()
             self.pending_stimuli.discard(signal)
+            self.hash ^= self._stimulus_token[signal]
         else:
-            causes = self._cause_set(self.netlist.gate(signal), new)
+            causes = compute_cause_set(gate, new, self.values, self.news[signal])
+            for name in self.news[signal]:
+                self.hash ^= self._news_token[(signal, name)]
             self.news[signal] = {}
         self.values[signal] = new
+        self.hash ^= self._value_token[signal]
         direction = RISE if new == 1 else FALL
         occurrence = self.occurrences.get((signal, direction), 0)
         self.occurrences[(signal, direction)] = occurrence + 1
@@ -148,15 +188,34 @@ class _Simulator:
             position=len(self.trace),
         )
         self.trace.append(record)
-        # Tell the fanout gates this input changed.
-        for gate in self.netlist.fanout(signal):
-            self.news[gate.output][signal] = record.position
+
+        self.excited.discard(signal)
+        for reader in self.fanout.get(signal, ()):
+            news = self.news[reader.output]
+            if signal not in news:
+                self.hash ^= self._news_token[(reader.output, signal)]
+            news[signal] = record.position
+            self._update(reader, signal)
+        if gate is not None:
+            # The driving gate's excitation depends on its own output
+            # value too (state-holding cells, free-running oscillators).
+            self._update(gate, signal)
         return record
 
-    def _cause_set(self, gate: Gate, new_value: int) -> Tuple[int, ...]:
-        return compute_cause_set(
-            gate, new_value, self.values, self.news[gate.output]
-        )
+    def _update(self, gate: Gate, fired: str) -> None:
+        output = gate.output
+        if gate.evaluate(self.values) != self.values[output]:
+            if output not in self.excited:
+                self.excited.add(output)
+                heapq.heappush(self._heap, output)
+        elif output in self.excited:
+            raise NotSemiModularError(
+                "firing %s%s disabled excited gate %s: the circuit is "
+                "not semi-modular on the serialised trace"
+                % (fired, RISE if self.values[fired] else FALL, output),
+                state=dict(self.values),
+                signal=output,
+            )
 
 
 def compute_cause_set(
@@ -165,12 +224,7 @@ def compute_cause_set(
     values: Dict[str, int],
     news: Dict[str, int],
 ) -> Tuple[int, ...]:
-    """Necessary-and-new input transitions for an output change.
-
-    Shared by the exhaustive oracle simulator above and the scalable
-    structural path (:mod:`repro.netlist.extract`) — both must record
-    bit-identical cause structure for their folds to coincide.
-    """
+    """Necessary-and-new input transitions for an output change."""
     input_values = [values[name] for name in gate.inputs]
     necessary = []
     for pin, name in enumerate(gate.inputs):
@@ -197,40 +251,59 @@ def compute_cause_set(
     return causes
 
 
-def simulate_untimed(netlist: Netlist, max_transitions: int = 100_000) -> Trace:
-    """Run the serialised simulation until the regime repeats twice.
+def _repeat_of(sim: _Simulator, earlier: List[int]) -> Optional[int]:
+    """The position in ``earlier`` whose configuration equals ``sim``'s.
 
-    The returned trace always contains the full prefix plus at least
-    three copies of the periodic window (so folding can read settled
-    arcs and verification can cross-check two window boundaries).
+    Each earlier configuration is rebuilt by replaying the recorded
+    firings on a fresh simulator, so no snapshot is stored per step.
+    """
+    current = sim.snapshot()
+    replay = _Simulator(sim.netlist)
+    for position in earlier:
+        for record in sim.trace[len(replay.trace):position]:
+            replay.fire(record.signal)
+        if replay.snapshot() == current:
+            return position
+    return None
+
+
+def simulate_untimed(netlist: Netlist, max_transitions: int = 100_000) -> Trace:
+    """Run the serialised simulation until its configuration repeats.
+
+    ``prefix_end`` is the first position whose configuration recurs,
+    ``window`` the distance to its recurrence, and the returned trace
+    holds the prefix plus three copies of the window (so folding can
+    read settled arcs and verification can cross-check two window
+    boundaries).  A hash hit only proposes a repeat: it is checked
+    against the exact configuration of every earlier position with the
+    same hash, so a collision costs a replay, never a wrong window.
+
+    Raises :class:`~repro.core.errors.NotSemiModularError` when a
+    firing disables another excited gate (never, on a circuit
+    :func:`~repro.circuits.state_space.explore` has proved), and
+    :class:`~repro.core.errors.ExtractionError` when no configuration
+    repeats within ``max_transitions`` firings.
     """
     sim = _Simulator(netlist)
-    seen: Dict[object, int] = {}
-    prefix_end: Optional[int] = None
-    window = 0
+    seen: Dict[int, List[int]] = {}
     while len(sim.trace) <= max_transitions:
-        snap = sim.snapshot()
-        if snap in seen and prefix_end is None:
-            prefix_end = seen[snap]
+        earlier = seen.setdefault(sim.hash, [])
+        prefix_end = _repeat_of(sim, earlier) if earlier else None
+        if prefix_end is not None:
             window = len(sim.trace) - prefix_end
-            break
-        seen[snap] = len(sim.trace)
-        excited = sim.excited()
-        if not excited:
+            # The configuration determines every later firing, so the
+            # window repeats: two more copies cannot stall or fail.
+            for _ in range(2 * window):
+                sim.fire(sim.min_excited())
+            return Trace(netlist, sim.trace, prefix_end, window)
+        earlier.append(len(sim.trace))
+        signal = sim.min_excited()
+        if signal is None:
             return Trace(netlist, sim.trace, len(sim.trace), 0)
-        sim.fire(excited[0])
-    if prefix_end is None:
-        raise ExtractionError(
-            "no periodic regime within %d transitions" % max_transitions
-        )
-    # Extend to three full windows past the prefix.
-    target = prefix_end + 3 * window
-    while len(sim.trace) < target:
-        excited = sim.excited()
-        if not excited:
-            raise ExtractionError("circuit went quiescent inside periodic regime")
-        sim.fire(excited[0])
-    return Trace(netlist, sim.trace, prefix_end, window)
+        sim.fire(signal)
+    raise ExtractionError(
+        "no periodic regime within %d transitions" % max_transitions
+    )
 
 
 # ----------------------------------------------------------------------
@@ -439,12 +512,16 @@ def _verify_fold(trace: Trace, graph: TimedSignalGraph, view: TaggedView) -> Non
 
 def extract_signal_graph(
     netlist: Netlist,
-    check_semi_modular: bool = True,
     max_transitions: int = 100_000,
-    max_states: int = 2_000_000,
+    max_states: Optional[int] = None,
     max_steps: Optional[int] = None,
 ) -> TimedSignalGraph:
     """Netlist + initial state -> Timed Signal Graph (TRASPEC substitute).
+
+    Proves semi-modularity by exhaustive exploration (``max_states``
+    and ``max_steps`` budget it, see
+    :func:`~repro.circuits.state_space.explore`), then simulates and
+    folds one serialised behaviour.
 
     Raises
     ------
@@ -458,10 +535,6 @@ def extract_signal_graph(
         exhaustive exploration budget ran out — large netlists should
         use :func:`repro.netlist.extract.structural_extract` instead.
     """
-    if check_semi_modular:
-        explore(
-            netlist, max_states=max_states, check_semi_modular=True,
-            max_steps=max_steps,
-        )
+    explore(netlist, max_states=max_states, max_steps=max_steps)
     trace = simulate_untimed(netlist, max_transitions=max_transitions)
     return fold_trace(trace)

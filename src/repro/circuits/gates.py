@@ -10,6 +10,7 @@ differ", Section VIII-A).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..core.errors import NetlistError
@@ -134,6 +135,7 @@ def _generalized_c(set_mask: int, reset_mask: int) -> GateFunction:
     return evaluate
 
 
+@lru_cache(maxsize=256)  # every gate evaluation resolves its type
 def _resolve(gate_type: str) -> Tuple[GateFunction, int, int, bool]:
     """Look up a gate type, including parametric LUT/GC forms.
 

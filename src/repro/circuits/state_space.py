@@ -128,7 +128,7 @@ class StateSpace:
 
 def explore(
     netlist: Netlist,
-    max_states: int = 2_000_000,
+    max_states: Optional[int] = None,
     check_semi_modular: bool = True,
     max_steps: Optional[int] = None,
 ) -> StateSpace:
@@ -141,8 +141,11 @@ def explore(
     ``signal``) does not depend on hashing.
 
     Exploration is budgeted: at most ``max_states`` reachable
-    configurations and (when given) ``max_steps`` explored moves.  An
-    exhausted budget raises a structured
+    configurations and (when given) ``max_steps`` explored moves.  The
+    default ``max_states`` bounds the configuration bits held rather
+    than the count: 2,000,000 configurations up to 64 bits wide (signals
+    plus stimuli), ``2_000_000 * 64 // width`` beyond.  An exhausted
+    budget raises a structured
     :class:`~repro.core.errors.StateSpaceLimitError`; a violation met
     before then is the verdict.  The state space of a wide circuit
     grows exponentially in its concurrency, so such a netlist should
@@ -153,6 +156,8 @@ def explore(
     order = tuple(netlist.signals)
     width = len(order)
     index = {signal: i for i, signal in enumerate(order)}
+    if max_states is None:
+        max_states = 2_000_000 * 64 // max(64, width + len(netlist.stimuli))
 
     # Firing signal i flips its value bit; a stimulus also sets its
     # consumed bit, which keeps the input from firing again.
@@ -249,7 +254,7 @@ def _violation(order: Tuple[str, ...], config: int, fired: int,
     )
 
 
-def is_semi_modular(netlist: Netlist, max_states: int = 2_000_000) -> bool:
+def is_semi_modular(netlist: Netlist, max_states: Optional[int] = None) -> bool:
     """Boolean wrapper around :func:`explore`'s semi-modularity check.
 
     A :class:`~repro.core.errors.StateSpaceLimitError` propagates: an

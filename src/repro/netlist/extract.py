@@ -2,302 +2,24 @@
 
 ``circuits.extraction.extract_signal_graph`` is the oracle: it proves
 semi-modularity by exhaustive state-space exploration before folding
-one serialised behaviour.  The state count is exponential in the gate
-count, so the oracle tops out around a few dozen gates — useless for
-wrapped ISCAS circuits with thousands of signals.
-
-``structural_extract`` keeps the oracle's *fold* (bit-identical cause
-recording, same :func:`~repro.circuits.extraction.fold_trace`, same
-exact fold verification) but replaces exploration and the quadratic
-simulation loop:
-
-* the serialised simulator mirrors the oracle's firing rule exactly
-  (always fire the lexicographically smallest excited signal) but
-  tracks the excited set incrementally with a lazy heap and a
-  precomputed fanout map — O(fanout) per firing instead of O(gates);
-* the configuration snapshot the oracle hashes each step is replaced
-  by an incrementally maintained 64-bit Zobrist hash over the same
-  content (signal values, pending stimuli, per-gate news membership);
-  a hash repeat proposes the periodic regime and is confirmed against
-  one pair of full snapshots a window apart, so a hash collision
-  degrades to a clean :class:`~repro.core.errors.ExtractionError`
-  (and the oracle-simulation fallback), never to a wrong graph;
-* semi-modularity is checked *on the trace*: the serialised run fails
-  the moment any firing disables another excited gate
-  (``check="trace"``, the default).  This inspects one interleaving
-  rather than all of them — ``check="explore"`` restores the oracle's
-  exhaustive proof for circuits small enough to afford it.
-
-Because the firing rule is identical, the structural trace *is* the
-oracle's trace; identical ``(prefix_end, window)`` then folds to a
-bit-identical graph, which the cross-validation tests assert on every
-small library circuit.
+one serialised behaviour.  The state count is exponential in the
+circuit's concurrency, so the oracle tops out around a few dozen
+gates.  ``structural_extract`` runs the same serialised simulation and
+the same fold, and replaces the exhaustive proof by the simulator's
+check on the trace: the run fails the moment any firing disables
+another excited gate.  That inspects one interleaving rather than all
+of them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
-from typing import Dict, List, Optional, Set, Tuple
-
-from ..circuits.extraction import (
-    FiredTransition,
-    Trace,
-    compute_cause_set,
-    fold_trace,
-    simulate_untimed,
-)
-from ..circuits.netlist import Gate, Netlist
-from ..circuits.state_space import explore
-from ..core.errors import ExtractionError, NotSemiModularError
-from ..core.events import FALL, RISE
+from ..circuits.extraction import fold_trace, simulate_untimed
+from ..circuits.netlist import Netlist
 from ..core.signal_graph import TimedSignalGraph
-
-CHECK_MODES = ("none", "trace", "explore")
-
-
-def _token(tag: str, *parts: str) -> int:
-    """Deterministic 64-bit Zobrist token for a snapshot feature."""
-    payload = "\x1f".join((tag,) + parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
-class _FastSimulator:
-    """Serialised simulation mirroring ``extraction._Simulator``.
-
-    Same firing rule, same cause recording, same trace — only the
-    bookkeeping is incremental.  The Zobrist hash covers exactly the
-    content of the oracle's ``snapshot()``: which signals are 1, which
-    stimuli are pending, and which (gate, input) news entries exist
-    (the oracle folds news down to key sets too).
-    """
-
-    def __init__(self, netlist: Netlist):
-        netlist.validate()
-        self.netlist = netlist
-        self.values: Dict[str, int] = netlist.initial_state()
-        self.pending_stimuli: Set[str] = {s.signal for s in netlist.stimuli}
-        self.news: Dict[str, Dict[str, int]] = {
-            gate.output: {} for gate in netlist.gates
-        }
-        self.occurrences: Dict[Tuple[str, str], int] = {}
-        self.trace: List[FiredTransition] = []
-
-        self.gate_of: Dict[str, Gate] = {
-            gate.output: gate for gate in netlist.gates
-        }
-        self.fanout_map: Dict[str, List[Gate]] = {}
-        for gate in netlist.gates:
-            for name in dict.fromkeys(gate.inputs):
-                self.fanout_map.setdefault(name, []).append(gate)
-
-        self._value_token = {
-            signal: _token("value", signal) for signal in self.values
-        }
-        self._stimulus_token = {
-            signal: _token("stimulus", signal) for signal in self.values
-        }
-        self._news_token = {
-            (gate.output, name): _token("news", gate.output, name)
-            for gate in netlist.gates
-            for name in dict.fromkeys(gate.inputs)
-        }
-        self.hash = 0
-        for signal, value in self.values.items():
-            if value:
-                self.hash ^= self._value_token[signal]
-        for signal in self.pending_stimuli:
-            self.hash ^= self._stimulus_token[signal]
-
-        self.excited_set: Set[str] = set()
-        self._heap: List[str] = []
-        for gate in netlist.gates:
-            if gate.evaluate(self.values) != self.values[gate.output]:
-                self._excite(gate.output)
-        for signal in self.pending_stimuli:
-            self._excite(signal)
-
-    # -- excited-set maintenance --------------------------------------
-    def _excite(self, signal: str) -> None:
-        if signal not in self.excited_set:
-            self.excited_set.add(signal)
-            heapq.heappush(self._heap, signal)
-
-    def min_excited(self) -> Optional[str]:
-        """Lexicographically smallest excited signal (the oracle's pick)."""
-        heap = self._heap
-        while heap and heap[0] not in self.excited_set:
-            heapq.heappop(heap)  # stale entry: disabled or already fired
-        return heap[0] if heap else None
-
-    # -- oracle-equivalent full snapshot (confirmation only) ----------
-    def snapshot(self):
-        news = tuple(
-            (output, frozenset(changed))
-            for output, changed in sorted(self.news.items())
-        )
-        return (
-            tuple(sorted(self.values.items())),
-            frozenset(self.pending_stimuli),
-            news,
-        )
-
-    # -- firing --------------------------------------------------------
-    def fire(self, signal: str, check_conflicts: bool) -> FiredTransition:
-        old = self.values[signal]
-        new = 1 - old
-        if self.netlist.is_input(signal):
-            causes: Tuple[int, ...] = ()
-            if signal in self.pending_stimuli:
-                self.pending_stimuli.discard(signal)
-                self.hash ^= self._stimulus_token[signal]
-        else:
-            causes = compute_cause_set(
-                self.gate_of[signal], new, self.values, self.news[signal]
-            )
-            for name in self.news[signal]:
-                self.hash ^= self._news_token[(signal, name)]
-            self.news[signal] = {}
-        self.values[signal] = new
-        self.hash ^= self._value_token[signal]
-        direction = RISE if new == 1 else FALL
-        occurrence = self.occurrences.get((signal, direction), 0)
-        self.occurrences[(signal, direction)] = occurrence + 1
-        record = FiredTransition(
-            signal=signal,
-            rising=(new == 1),
-            occurrence=occurrence,
-            causes=causes,
-            position=len(self.trace),
-        )
-        self.trace.append(record)
-
-        self.excited_set.discard(signal)
-        for gate in self.fanout_map.get(signal, ()):
-            news = self.news[gate.output]
-            if signal not in news:
-                self.hash ^= self._news_token[(gate.output, signal)]
-            news[signal] = record.position
-            self._update_excitation(gate, fired=signal,
-                                    check_conflicts=check_conflicts)
-        own = self.gate_of.get(signal)
-        if own is not None:
-            # The driving gate's excitation depends on its own output
-            # value too (state-holding cells, free-running oscillators).
-            self._update_excitation(own, fired=signal, check_conflicts=False)
-        return record
-
-    def _update_excitation(self, gate: Gate, fired: str,
-                           check_conflicts: bool) -> None:
-        output = gate.output
-        is_excited = gate.evaluate(self.values) != self.values[output]
-        was_excited = output in self.excited_set
-        if is_excited and not was_excited:
-            self._excite(output)
-        elif was_excited and not is_excited and output != fired:
-            self.excited_set.discard(output)
-            if check_conflicts:
-                raise NotSemiModularError(
-                    "firing %s%s disabled excited gate %s: the circuit is "
-                    "not semi-modular on the serialised trace"
-                    % (fired, RISE if self.values[fired] else FALL, output),
-                    state=dict(self.values),
-                    signal=output,
-                )
-
-
-def structural_simulate(
-    netlist: Netlist,
-    max_transitions: int = 1_000_000,
-    check_conflicts: bool = True,
-) -> Trace:
-    """Serialised simulation with incremental periodicity detection.
-
-    Produces the same :class:`~repro.circuits.extraction.Trace` as
-    :func:`~repro.circuits.extraction.simulate_untimed` (same firing
-    order, same causes, same ``(prefix_end, window)``), in time
-    O(trace x fanout) instead of O(trace x gates).
-    """
-    sim = _FastSimulator(netlist)
-    seen: Dict[int, int] = {}
-    prefix_end: Optional[int] = None
-    window = 0
-    while len(sim.trace) <= max_transitions:
-        if sim.hash in seen and prefix_end is None:
-            prefix_end = seen[sim.hash]
-            window = len(sim.trace) - prefix_end
-            break
-        seen[sim.hash] = len(sim.trace)
-        signal = sim.min_excited()
-        if signal is None:
-            return Trace(netlist, sim.trace, len(sim.trace), 0)
-        sim.fire(signal, check_conflicts)
-    if prefix_end is None:
-        raise ExtractionError(
-            "no periodic regime within %d transitions" % max_transitions
-        )
-    # The hash repeat is a 64-bit claim, not a proof: replay one more
-    # window and compare full snapshots.  If the configuration really
-    # has period `window` they match; a collision surfaces here and the
-    # caller falls back to the oracle simulation.
-    reference = sim.snapshot()
-    confirm_at = prefix_end + 2 * window
-    target = prefix_end + 3 * window
-    while len(sim.trace) < target:
-        if len(sim.trace) == confirm_at and sim.snapshot() != reference:
-            raise ExtractionError(
-                "snapshot hash collision at trace position %d "
-                "(candidate window %d)" % (confirm_at, window)
-            )
-        signal = sim.min_excited()
-        if signal is None:
-            raise ExtractionError(
-                "circuit went quiescent inside periodic regime"
-            )
-        sim.fire(signal, check_conflicts)
-    return Trace(netlist, sim.trace, prefix_end, window)
 
 
 def structural_extract(
-    netlist: Netlist,
-    check: str = "trace",
-    max_transitions: int = 1_000_000,
-    fallback: bool = True,
-    max_states: int = 2_000_000,
+    netlist: Netlist, max_transitions: int = 1_000_000
 ) -> TimedSignalGraph:
-    """Netlist -> Timed Signal Graph without exhaustive exploration.
-
-    Parameters
-    ----------
-    check:
-        ``"trace"`` (default) fails on any semi-modularity violation
-        visible in the serialised interleaving; ``"explore"`` runs the
-        oracle's exhaustive proof first (small circuits only);
-        ``"none"`` skips conflict checking entirely.
-    fallback:
-        Retry with the oracle simulation loop when the incremental
-        periodicity detector reports an :class:`ExtractionError`
-        (e.g. a hash collision).  Semi-modularity and distributivity
-        verdicts always propagate — they are properties of the
-        circuit, not of the detector.
-    """
-    if check not in CHECK_MODES:
-        raise ValueError(
-            "check must be one of %s, got %r" % (", ".join(CHECK_MODES), check)
-        )
-    if check == "explore":
-        explore(netlist, max_states=max_states, check_semi_modular=True)
-    try:
-        trace = structural_simulate(
-            netlist,
-            max_transitions=max_transitions,
-            check_conflicts=(check == "trace"),
-        )
-        return fold_trace(trace)
-    except NotSemiModularError:
-        raise
-    except ExtractionError:
-        if not fallback:
-            raise
-        trace = simulate_untimed(netlist, max_transitions=max_transitions)
-        return fold_trace(trace)
+    """Netlist -> Timed Signal Graph without exhaustive exploration."""
+    return fold_trace(simulate_untimed(netlist, max_transitions=max_transitions))

@@ -110,7 +110,6 @@ def analyze_network(
     max_fanout: Optional[int] = None,
     extraction: str = "auto",
     method: str = "auto",
-    check: str = "trace",
 ) -> Tuple[TimedSignalGraph, Dict[str, Any]]:
     """transform -> extract -> analyze one parsed circuit.
 
@@ -164,7 +163,7 @@ def analyze_network(
         except StateSpaceLimitError:
             pass
     if graph is None:
-        graph = structural_extract(wrapped, check=check)
+        graph = structural_extract(wrapped)
         extraction = "structural"
     timings["extract_ms"] = (time.perf_counter() - start) * 1000.0
 

@@ -1,9 +1,13 @@
 """Unit tests for Burns' LP formulation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repro
 from repro.baselines.burns_lp import cycle_time_lp
 from repro.core import TimedSignalGraph
 from repro.core.errors import AcyclicGraphError
@@ -57,3 +61,19 @@ class TestLP:
             assert cycle_time_lp(g).cycle_time == pytest.approx(
                 float(expected), abs=1e-6
             ), seed
+
+
+def test_scipy_is_imported_only_by_the_lp_method():
+    """The CLI (and the daemon it starts) and the netlist pipeline do not
+    pay scipy's import time until a caller asks for ``lp``."""
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.netlist.pipeline\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -15,6 +15,7 @@ from repro.circuits.library import (
 from repro.circuits.netlist import Netlist
 from repro.core import Transition, validate
 from repro.core.errors import DistributivityError, ExtractionError
+from repro.netlist import structural_extract
 
 
 class TestOscillatorExtraction:
@@ -104,7 +105,7 @@ class TestCauseSemantics:
         n.add_stimulus("x")
         n.add_stimulus("y")
         with pytest.raises(DistributivityError):
-            extract_signal_graph(n, check_semi_modular=False)
+            structural_extract(n)
 
 
 class TestExtractionOptions:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -70,6 +71,21 @@ class TestExploration:
     def test_budgets_do_not_fire_when_sufficient(self, oscillator_circuit):
         space = explore(oscillator_circuit, max_steps=10_000)
         assert space.num_states > 0
+
+    def test_default_budget_bounds_configuration_bits(self):
+        # Wrapped mult16 has 2946 signals and no stimuli: the default
+        # budget is 2,000,000 * 64 // 2946 configurations.
+        started = time.perf_counter()
+        with pytest.raises(StateSpaceLimitError) as info:
+            explore(ring_wrap(load_corpus("mult16")))
+        assert time.perf_counter() - started < 2
+        assert info.value.max_states == 43_448
+
+    def test_narrow_circuits_keep_the_full_default_budget(self):
+        # Wrapped c17 is 24 bits wide, under 64.
+        with pytest.raises(StateSpaceLimitError) as info:
+            explore(ring_wrap(load_corpus("c17")), max_steps=10)
+        assert info.value.max_states == 2_000_000
 
     def test_step_budget_is_exact(self, oscillator_circuit):
         moves = explore(oscillator_circuit).num_moves

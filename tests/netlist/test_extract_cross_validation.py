@@ -1,9 +1,10 @@
 """Structural extraction must be bit-identical to the oracle.
 
 The acceptance bar for the scalable path: on every circuit small
-enough for ``circuits.extraction`` (exhaustive exploration + quadratic
-simulation), ``structural_extract`` must produce the *same* Timed
-Signal Graph — same events, same arcs, same delays, same markings.
+enough for ``circuits.extraction`` (exhaustive exploration, then the
+serialised simulation), ``structural_extract`` must produce the *same*
+Timed Signal Graph — same events, same arcs, same delays, same
+markings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.circuits.library import (
 from repro.circuits.netlist import Netlist
 from repro.core.errors import ExtractionError, NotSemiModularError
 from repro.netlist import load_corpus, ring_wrap, structural_extract
-from repro.netlist.extract import structural_simulate
+from tests.reference_extraction import reference_simulate_untimed
+from tests.reference_state_space import glitching_and, racing_latch
 
 ORACLE_CIRCUITS = {
     "oscillator": oscillator_netlist,
@@ -44,79 +46,43 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(ORACLE_CIRCUITS))
     def test_same_trace_and_window(self, name):
         netlist = ORACLE_CIRCUITS[name]()
-        oracle = simulate_untimed(netlist)
-        fast = structural_simulate(netlist)
-        assert fast.prefix_end == oracle.prefix_end
-        assert fast.window == oracle.window
-        assert fast.fired == oracle.fired
-
-    def test_explore_mode_matches_trace_mode(self):
-        netlist = muller_ring_netlist(3)
-        assert structural_extract(netlist, check="explore").structurally_equal(
-            structural_extract(netlist, check="trace")
-        )
+        reference = reference_simulate_untimed(netlist)
+        trace = simulate_untimed(netlist, max_transitions=1_000_000)
+        assert trace.prefix_end == reference.prefix_end
+        assert trace.window == reference.window
+        assert trace.fired == reference.fired
 
 
 class TestSemiModularity:
-    def racing_latch(self):
-        n = Netlist("race")
-        n.add_input("set", initial=1)
-        n.add_input("reset", initial=1)
-        n.add_gate("q", "NOR", ["reset", "qb"], initial=0)
-        n.add_gate("qb", "NOR", ["set", "q"], initial=0)
-        n.add_stimulus("set")
-        n.add_stimulus("reset")
-        return n
-
-    def glitching_and(self):
+    def test_trace_check_catches_the_hazard(self):
         # After a+ both b (NOT) and c (AND) are excited; the serialised
         # rule fires b first, which disables c — a visible hazard.
-        n = Netlist("glitch")
-        n.add_input("a", initial=0)
-        n.add_gate("b", "NOT", ["a"], initial=1)
-        n.add_gate("c", "AND", ["a", "b"], initial=0)
-        n.add_stimulus("a")
-        return n
-
-    def test_trace_check_catches_the_hazard(self):
-        with pytest.raises(NotSemiModularError):
-            structural_extract(self.glitching_and(), check="trace")
+        with pytest.raises(NotSemiModularError) as info:
+            structural_extract(glitching_and())
+        assert info.value.signal == "c"
+        assert info.value.state == {"a": 1, "b": 0, "c": 0}
 
     def test_explore_check_catches_the_race(self):
         # The latch race hides from the serialised interleaving (reset
         # fires before set), but exhaustive exploration still finds it.
+        structural_extract(racing_latch())
         with pytest.raises(NotSemiModularError):
-            structural_extract(self.racing_latch(), check="explore")
-
-    def test_violation_does_not_fall_back(self):
-        """Semi-modularity is a circuit property: the oracle fallback
-        must not mask it."""
-        with pytest.raises(NotSemiModularError):
-            structural_extract(self.glitching_and(), check="trace",
-                               fallback=True)
-
-    def test_unknown_check_mode_rejected(self):
-        with pytest.raises(ValueError):
-            structural_extract(oscillator_netlist(), check="maybe")
+            extract_signal_graph(racing_latch())
 
 
 class TestDetectorLimits:
     def test_transition_budget_raises(self):
         with pytest.raises(ExtractionError):
-            structural_simulate(oscillator_netlist(), max_transitions=3)
-
-    def test_fallback_disabled_propagates(self):
-        with pytest.raises(ExtractionError):
-            structural_extract(oscillator_netlist(), max_transitions=3,
-                               fallback=False)
+            structural_extract(oscillator_netlist(), max_transitions=3)
 
     def test_quiescent_circuit_folds_empty_window(self):
         n = Netlist("quiet")
         n.add_input("a", initial=0)
         n.add_gate("b", "BUF", ["a"], initial=0)
-        trace = structural_simulate(n)
+        trace = simulate_untimed(n)
         assert trace.window == 0
         assert trace.fired == []
+        assert structural_extract(n).num_events == 0
 
 
 class TestScale:

@@ -74,6 +74,17 @@ class TestNetlistEndpoint:
             service.netlist("INPUT(a)\nb = WAT(a)\n")
         assert info.value.status == 422
 
+    def test_oracle_on_a_wide_circuit_is_a_structured_422(self, service):
+        # Wrapped mult16's default exploration budget (43,448
+        # configurations, derived from its 2946-bit width) runs out.
+        with open(corpus_path("mult16"), encoding="utf-8") as handle:
+            mult16 = handle.read()
+        with pytest.raises(ServiceError) as info:
+            service.netlist(mult16, extraction="oracle")
+        assert info.value.status == 422
+        assert info.value.kind == "StateSpaceLimitError"
+        assert "43448 states" in info.value.message
+
     def test_empty_source_rejected(self, service):
         with pytest.raises(ServiceError) as info:
             service.netlist("   ")
