@@ -21,9 +21,12 @@ rebind-per-trial loop as the executable reference; both methods
 consume the same sampled matrix and produce bit-identical λ samples.
 
 Sampling uses ``numpy.random.Generator`` with an explicit seed for
-reproducibility.  Samplers are drawn vectorized (one stream of ``S``
-values per arc, arc-major); a plain scalar ``(rng, nominal) -> float``
-callable still works through an element-wise fallback.
+reproducibility.  One sampler call draws a whole sweep as a
+``(k, S)`` block for the ``k`` repetitive arcs (one stream of ``S``
+values per arc, arc-major), and the ``(S, m)`` matrix the kernel reads
+is a transposed view of that block; a plain scalar
+``(rng, nominal) -> float`` callable still works through an
+element-wise fallback that keeps the same arc-major order.
 """
 
 from __future__ import annotations
@@ -45,8 +48,11 @@ from ..core.kernel import (
 from ..core.signal_graph import Event, TimedSignalGraph
 
 #: A delay sampler: ``(rng, nominal) -> float`` — or, vectorized,
-#: ``(rng, nominal, size=...) -> ndarray`` (``nominal`` may then be an
-#: array broadcast against ``size``).
+#: ``(rng, nominal, size=...) -> ndarray``, where ``nominal`` is an
+#: array broadcast against ``size``: :func:`sample_delay_matrix` passes
+#: one ``(k, 1)`` column of nominal delays with ``size=(k, S)``, and
+#: numpy fills that block in C order, so every arc gets its own stream
+#: of ``S`` values, arc by arc.
 DelaySampler = Callable[..., float]
 
 
@@ -95,32 +101,29 @@ def draw_delays(
     """Draw sampled delays, falling back to element-wise calls.
 
     Vector-aware samplers (the built-in spreads — detected by a
-    ``size`` parameter in their signature) receive ``size`` and return
-    the whole block in one RNG call; scalar ``(rng, nominal)``
-    samplers are applied element-wise.  Exceptions raised inside a
-    sampler propagate unchanged — a ``TypeError`` bug in a
-    vector-aware sampler is not mistaken for scalar-ness.
+    ``size`` parameter or ``**kwargs`` in their signature) receive
+    ``nominal`` unchanged with ``size`` and return the whole block in
+    one RNG call; ``nominal`` must broadcast against ``size``.  Scalar
+    ``(rng, nominal)`` samplers are applied element-wise in C order
+    over the block, each call getting the broadcast nominal of its
+    cell — the order a vector-aware sampler fills the block in.
+    Exceptions raised inside a sampler propagate unchanged — a
+    ``TypeError`` bug in a vector-aware sampler is not mistaken for
+    scalar-ness.
     """
+    shape = (size,) if isinstance(size, int) else tuple(size)
     if _accepts_size(sampler):
         values = np.asarray(sampler(rng, nominal, size=size), dtype=np.float64)
-        expected = (size,) if isinstance(size, int) else tuple(size)
-        if values.shape != expected:
+        if values.shape != shape:
             raise SignalGraphError(
-                "sampler returned shape %r, expected %r" % (values.shape, expected)
+                "sampler returned shape %r, expected %r" % (values.shape, shape)
             )
         return values
-    shape = (size,) if isinstance(size, int) else tuple(size)
-    nominals = np.broadcast_to(
-        np.asarray(nominal, dtype=np.float64), shape[-1:] if len(shape) > 1 else ()
-    )
+    nominals = np.broadcast_to(np.asarray(nominal, dtype=np.float64), shape)
     out = np.empty(shape, dtype=np.float64)
-    if len(shape) > 1:
-        for row in out:
-            for column in range(shape[-1]):
-                row[column] = sampler(rng, float(nominals[column]))
-    else:
-        for index in range(shape[0]):
-            out[index] = sampler(rng, float(nominal))
+    flat = out.reshape(-1)
+    for index, value in enumerate(nominals.ravel().tolist()):
+        flat[index] = sampler(rng, value)
     return out
 
 
@@ -133,18 +136,31 @@ def sample_delay_matrix(
     """An ``(S, m)`` sampled delay matrix in graph arc order.
 
     Only arcs of the repetitive core are resampled (prefix arcs cannot
-    affect λ); other columns carry the nominal delay.
+    affect λ); other columns carry the nominal delay.  The sampler is
+    called once, with ``nominal`` shaped ``(k, 1)`` for the ``k``
+    repetitive arcs and ``size=(k, S)``, so the stream is one run of
+    ``S`` values per repetitive arc in arc order.  The result is the
+    transposed (F-ordered) view of an arc-major ``(m, S)`` block —
+    the sampler's own block when every arc is repetitive — which is
+    the layout the batch kernel gathers its delay rows from.
     """
     repetitive = graph.repetitive_events
     arcs = graph.arcs
     nominal = np.asarray([float(arc.delay) for arc in arcs], dtype=np.float64)
-    matrix = np.tile(nominal, (samples, 1))
-    for column, arc in enumerate(arcs):
-        if arc.source in repetitive and arc.target in repetitive:
-            matrix[:, column] = draw_delays(
-                rng, sampler, float(arc.delay), samples
-            )
-    return matrix
+    columns = [
+        column
+        for column, arc in enumerate(arcs)
+        if arc.source in repetitive and arc.target in repetitive
+    ]
+    block = draw_delays(
+        rng, sampler, nominal[columns, None], (len(columns), samples)
+    )
+    if len(columns) == len(arcs):
+        return block.T
+    matrix_t = np.empty((len(arcs), samples), dtype=np.float64)
+    matrix_t[:] = nominal[:, None]
+    matrix_t[columns] = block
+    return matrix_t.T
 
 
 @dataclass

@@ -111,13 +111,11 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .errors import NotLiveError, SignalGraphError
-from .events import event_sort_key
 from .signal_graph import Event, TimedSignalGraph
-from .validation import find_unmarked_cycle, unmarked_subgraph
+from .validation import find_unmarked_cycle, live_order
 from ..obs.profile import active_profiler, phase as _phase
 
 #: Sentinel for "instance has no simulated time" in flat time arrays.
@@ -166,26 +164,22 @@ class CompiledGraph:
     """
 
     def __init__(self, graph: TimedSignalGraph):
-        cycle = find_unmarked_cycle(graph)
-        if cycle is not None:
-            raise NotLiveError(
-                "cannot unfold a non-live graph (token-free cycle exists)",
-                cycle=cycle,
-            )
-        self.graph = graph
         # The *lexicographical* topological sort makes the compiled
         # structure canonical: two content-equal graphs compile to the
         # same order (and hence the same slot layout and programs) no
         # matter what order their events and arcs were inserted in —
         # the property that makes content-hash -> compiled-program
-        # reuse in repro.service sound.
+        # reuse in repro.service sound.  The same (cached) sort decides
+        # liveness: it fails exactly when a token-free cycle exists.
         with _phase("toposort"):
-            order: List[Event] = list(
-                nx.lexicographical_topological_sort(
-                    unmarked_subgraph(graph), key=event_sort_key
-                )
+            live = live_order(graph)
+        if live is None:
+            raise NotLiveError(
+                "cannot unfold a non-live graph (token-free cycle exists)",
+                cycle=find_unmarked_cycle(graph),
             )
-        self.order = order
+        self.graph = graph
+        self.order = order = list(live)
         self.n = n = len(order)
         self.id_of: Dict[Event, int] = {event: i for i, event in enumerate(order)}
         repetitive_set = graph.repetitive_events
@@ -1046,13 +1040,19 @@ class BatchBindings:
     exposed as :attr:`pairs`).  Row ``s`` is one complete delay
     binding — the batched equivalent of ``graph.copy()`` + S
     ``set_delay`` calls + :func:`rebind_compiled`, at a fraction of
-    the cost.
+    the cost.  A C- or F-contiguous float64 matrix is kept as given
+    (no copy); the F-ordered transposed view that
+    :func:`~repro.analysis.montecarlo.sample_delay_matrix` returns makes
+    every per-program delay gather a contiguous row gather.  Other
+    layouts are copied to C order.
     """
 
     def __init__(self, base: CompiledGraph, matrix):
         self.base = base
         self.structure = _batch_structure_of(base)
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if not (matrix.flags.c_contiguous or matrix.flags.f_contiguous):
+            matrix = np.ascontiguousarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.structure.pairs):
             raise SignalGraphError(
                 "delay matrix must have shape (S, %d) for %r, got %r"
@@ -1140,11 +1140,21 @@ class _FusedProgram:
 
     __slots__ = ("levels", "cols", "span", "max_level_arcs")
 
-    def __init__(self, levels, cols, span, max_level_arcs):
+    def __init__(self, levels, cols, span, max_level_arcs, size):
         self.levels = levels
         self.cols = cols
         self.span = span
         self.max_level_arcs = max_level_arcs
+        # The level gathers run with mode="clip" (unbuffered), which
+        # would clamp a bad index silently: check every index once here.
+        indices = [level.offsets for level in levels]
+        indices += [level.targets for level in levels]
+        indices += [level.empty for level in levels if level.empty is not None]
+        flat = np.concatenate(indices) if indices else np.empty(0, np.intp)
+        if flat.size and (flat.min() < 0 or flat.max() >= size):
+            raise SignalGraphError(
+                "fused program indexes a slot outside its %d-slot ring" % size
+            )
 
     def shifted(self, shift: int, size: int) -> "_FusedProgram":
         """The same program relocated ``shift`` slots down the ring."""
@@ -1164,7 +1174,9 @@ class _FusedProgram:
             )
             for level in self.levels
         ]
-        return _FusedProgram(levels, self.cols, self.span, self.max_level_arcs)
+        return _FusedProgram(
+            levels, self.cols, self.span, self.max_level_arcs, size
+        )
 
 
 def _build_fused_levels(rows):
@@ -1191,11 +1203,13 @@ def _build_fused_levels(rows):
                 level = depth
         level_of[target] = level
         row_levels.append(level)
+    buckets: List[list] = [[] for _ in range(max(row_levels, default=-1) + 1)]
+    for row, level in zip(rows, row_levels):
+        buckets[level].append(row)
     levels: List[_FusedLevel] = []
     cols_flat: List[int] = []
     max_arcs = 0
-    for level in range(max(row_levels) + 1 if row_levels else 0):
-        members = [rows[i] for i, lv in enumerate(row_levels) if lv == level]
+    for members in buckets:
         full = [(t, a) for t, a in members if a]
         empty = [t for t, a in members if not a]
         full.sort(key=lambda row: -len(row[1]))
@@ -1285,17 +1299,17 @@ class _FusedPlan:
             for target, arcs in structure._p0_rows
         ]
         levels, cols, max_arcs, level_of = _build_fused_levels(p0_rows)
-        self.p0 = _FusedProgram(levels, cols, 1, max_arcs)
+        self.p0 = _FusedProgram(levels, cols, 1, max_arcs, size)
         self.p0_level_of = level_of
         levels, cols, arcs1, _ = _build_fused_levels(
             _expand_span_rows(structure._p1_rows, n, 1)
         )
-        self.p1 = _FusedProgram(levels, cols, 1, arcs1)
+        self.p1 = _FusedProgram(levels, cols, 1, arcs1, size)
         max_arcs = max(max_arcs, arcs1)
         levels, cols, arcs_s, _ = _build_fused_levels(
             _expand_span_rows(structure._ps_rows, n, span)
         )
-        steady = _FusedProgram(levels, cols, span, arcs_s)
+        steady = _FusedProgram(levels, cols, span, arcs_s, size)
         max_arcs = max(max_arcs, arcs_s)
         self.steady = [steady.shifted(f * n, size) for f in range(self.frames)]
         if span == 1:
@@ -1304,7 +1318,7 @@ class _FusedPlan:
             levels, cols, arcs_t, _ = _build_fused_levels(
                 _expand_span_rows(structure._ps_rows, n, 1)
             )
-            tail = _FusedProgram(levels, cols, 1, arcs_t)
+            tail = _FusedProgram(levels, cols, 1, arcs_t, size)
             max_arcs = max(max_arcs, arcs_t)
             self.tail = [tail.shifted(f * n, size) for f in range(self.frames)]
         self.max_level_arcs = max_arcs
@@ -1369,7 +1383,10 @@ def _run_fused_level(level: _FusedLevel, dmat_t: np.ndarray,
     arcs = level.offsets.shape[0]
     if arcs:
         values = workspace[:arcs]
-        np.take(buffer, level.offsets, axis=0, out=values)
+        # mode="clip" lets take write straight into ``out``; "raise"
+        # always buffers it.  Indices were range-checked when the
+        # program was built (_FusedProgram).
+        np.take(buffer, level.offsets, axis=0, out=values, mode="clip")
         block = dmat_t[level.dlo:level.dlo + arcs]
         if stack > 1:
             # one delay column per *sample*: broadcast over the

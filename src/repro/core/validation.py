@@ -31,8 +31,8 @@ from .errors import (
     NotLiveError,
     NotWellFormedError,
 )
-from .events import Transition, event_label
-from .signal_graph import TimedSignalGraph
+from .events import Transition, event_label, event_sort_key
+from .signal_graph import Event, TimedSignalGraph
 
 
 def unmarked_subgraph(graph: TimedSignalGraph) -> "nx.DiGraph":
@@ -50,6 +50,28 @@ def unmarked_subgraph(graph: TimedSignalGraph) -> "nx.DiGraph":
     return subgraph
 
 
+def live_order(graph: TimedSignalGraph) -> Optional[Tuple[Event, ...]]:
+    """The lexicographic topological order of the unmarked subgraph.
+
+    ``None`` when the sort fails, which it does exactly when a
+    token-free cycle exists, so this one sort decides liveness and
+    yields the canonical intra-period firing order the compiled kernel
+    uses.  Cached on the graph until its next mutation.
+    """
+
+    def compute() -> Optional[Tuple[Event, ...]]:
+        try:
+            return tuple(
+                nx.lexicographical_topological_sort(
+                    unmarked_subgraph(graph), key=event_sort_key
+                )
+            )
+        except nx.NetworkXUnfeasible:
+            return None
+
+    return graph.cached("live-order", compute)
+
+
 def find_unmarked_cycle(graph: TimedSignalGraph) -> Optional[List]:
     """An event cycle with no token, or None if the graph is live."""
     subgraph = unmarked_subgraph(graph)
@@ -62,7 +84,7 @@ def find_unmarked_cycle(graph: TimedSignalGraph) -> Optional[List]:
 
 def check_live(graph: TimedSignalGraph) -> bool:
     """True iff every cycle contains an initially marked arc."""
-    return find_unmarked_cycle(graph) is None
+    return live_order(graph) is not None
 
 
 def check_connected_core(graph: TimedSignalGraph) -> bool:
@@ -135,8 +157,8 @@ def validate(graph: TimedSignalGraph, require_cycles: bool = True) -> None:
         :class:`~repro.core.errors.AcyclicGraphError`, because no cycle
         time exists for it.
     """
-    cycle = find_unmarked_cycle(graph)
-    if cycle is not None:
+    if live_order(graph) is None:
+        cycle = find_unmarked_cycle(graph)
         raise NotLiveError(
             "cycle without initial token: %s"
             % " -> ".join(event_label(e) for e in cycle),

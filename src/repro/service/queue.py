@@ -122,13 +122,15 @@ class RequestCoalescer:
         ``matrix`` is an ``(S, m)`` float64 delay matrix in ``graph``'s
         own arc insertion order, exactly as
         :func:`~repro.analysis.montecarlo.sample_delay_matrix` builds
-        it.  Requests with different ``periods`` never share a batch.
+        it; it is queued as given (no copy into C order), so its
+        layout reaches :class:`~repro.core.kernel.BatchBindings`
+        intact.  Requests with different ``periods`` never share a batch.
         A request whose ``deadline`` expires while lingering in the
         queue (or while earlier batch chunks compute) is evicted from
         its batch and fails with :exc:`DeadlineExceeded` instead of
         being swept for a caller that already gave up.
         """
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D (samples, arcs)")
         trace = None

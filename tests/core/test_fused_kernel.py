@@ -27,11 +27,14 @@ from repro.core import (
     rebind_compiled,
     run_border_simulations_batch,
 )
+from repro.core.errors import SignalGraphError
 from repro.core.kernel import (
     NEG_INF,
     BatchBindings,
     CompiledGraph,
     _batch_structure_of,
+    _FusedLevel,
+    _FusedProgram,
     run_border_sweep_fused,
 )
 from repro.core.signal_graph import TimedSignalGraph
@@ -183,6 +186,40 @@ def test_single_period_sweep():
     reference = _reference_tables(graph, matrix)
     for event, table in zip(graph.border_events, fused):
         assert np.array_equal(table, reference[event])
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+@pytest.mark.parametrize("field", ["offsets", "targets", "empty"])
+def test_out_of_range_index_rejected_when_program_built(field, bad):
+    # The level gathers run unbuffered with mode="clip", which clamps;
+    # a bad index must fail at build time, not read a wrong slot.
+    indices = {"offsets": [0, 3], "targets": [4], "empty": [5]}
+    indices[field] = indices[field][:-1] + [bad]
+    level = _FusedLevel(
+        targets=np.asarray(indices["targets"], dtype=np.intp),
+        offsets=np.asarray(indices["offsets"], dtype=np.intp),
+        empty=np.asarray(indices["empty"], dtype=np.intp),
+        nrows=1,
+        steps=((1, 1, 2),),
+        dlo=0,
+    )
+    with pytest.raises(SignalGraphError, match="outside its 12-slot ring"):
+        _FusedProgram([level], np.zeros(2, dtype=np.intp), 1, 2, 12)
+
+
+def test_built_plans_index_inside_their_ring():
+    graph = _floatified(ring_with_chords(stages=20, tokens=4, chords=5,
+                                         seed=9))
+    structure = _batch_structure_of(compiled_graph(graph))
+    for span in (1, 2, 3):
+        plan = structure.fused_plan(span)
+        size = plan.frames * plan.n
+        programs = [plan.p0, plan.p1, *plan.steady, *plan.tail]
+        for program in programs:
+            for level in program.levels:
+                for indices in (level.offsets, level.targets, level.empty):
+                    if indices is not None and indices.size:
+                        assert 0 <= indices.min() and indices.max() < size
 
 
 # ----------------------------------------------------------------------

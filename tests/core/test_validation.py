@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TimedSignalGraph, validate
+from repro.core import TimedSignalGraph, compiled_graph, validate
 from repro.core.errors import (
     AcyclicGraphError,
     NotConnectedError,
@@ -16,6 +16,7 @@ from repro.core.validation import (
     check_switchover_correct,
     check_well_formed,
     find_unmarked_cycle,
+    live_order,
     unmarked_subgraph,
 )
 
@@ -47,6 +48,48 @@ class TestLiveness:
         g.add_arc("a+", "c+", 1)
         g.add_arc("c+", "a+", 1)  # second, unmarked cycle
         assert not check_live(g)
+
+    @staticmethod
+    def _token_free_ring():
+        g = live_ring()
+        g.add_arc("b+", "c+", 2)
+        g.add_arc("c+", "b+", 3)  # token-free cycle beside a live one
+        return g
+
+    def test_every_entry_point_reports_the_same_witness(self):
+        g = self._token_free_ring()
+        witness = find_unmarked_cycle(g)
+        assert witness is not None
+        assert live_order(g) is None
+        assert not check_live(g)
+        errors = []
+        for entry in (validate, compiled_graph):
+            with pytest.raises(NotLiveError) as info:
+                entry(g)
+            errors.append(info.value)
+        assert [error.cycle for error in errors] == [witness, witness]
+        assert str(errors[0]) == "cycle without initial token: b+ -> c+"
+        assert str(errors[1]) == (
+            "cannot unfold a non-live graph (token-free cycle exists)"
+        )
+
+    def test_live_order_is_the_compiled_order(self, oscillator):
+        order = live_order(oscillator)
+        assert order is not None
+        assert compiled_graph(oscillator).order == list(order)
+
+    def test_mutation_drops_the_cached_order(self):
+        g = live_ring()
+        validate(g)
+        assert check_live(g)
+        compiled_graph(g)
+        g.add_arc("b+", "c+", 1)
+        g.add_arc("c+", "b+", 1)  # now a token-free cycle
+        assert not check_live(g)
+        with pytest.raises(NotLiveError):
+            validate(g)
+        with pytest.raises(NotLiveError):
+            compiled_graph(g)
 
     def test_unmarked_subgraph_shape(self, oscillator):
         sub = unmarked_subgraph(oscillator)

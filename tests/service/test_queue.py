@@ -38,6 +38,28 @@ class TestCorrectness:
             values, reference_lambdas(oscillator.copy(), matrix)
         )
 
+    def test_drawn_layout_reaches_the_kernel_uncopied(
+        self, coalescer, oscillator, monkeypatch
+    ):
+        import repro.service.queue as queue_module
+
+        seen = []
+
+        def spy(graph, bindings, **options):
+            seen.append(bindings.matrix)
+            return run_border_simulations_batch(graph, bindings, **options)
+
+        monkeypatch.setattr(queue_module, "run_border_simulations_batch", spy)
+        rng = np.random.default_rng(3)
+        matrix = sample_delay_matrix(oscillator, uniform_spread(0.2), 16, rng)
+        assert matrix.flags.f_contiguous
+        values = coalescer.run(oscillator, matrix, timeout=30)
+        assert len(seen) == 1 and np.shares_memory(seen[0], matrix)
+        np.testing.assert_array_equal(
+            values,
+            reference_lambdas(oscillator.copy(), np.ascontiguousarray(matrix)),
+        )
+
     def test_coalesced_requests_split_correctly(self, coalescer):
         ring = muller_ring_tsg(3)
         rng = np.random.default_rng(1)
