@@ -14,7 +14,9 @@ float64 addition and maximum do not care how the bindings are laid
 out.
 
 Run ``python benchmarks/bench_sweeps.py --quick`` for the CI perf
-smoke: the same headline check, no pytest-benchmark machinery.
+smoke: the same headline check, no pytest-benchmark machinery, plus a
+small criticality sweep checked equal to ``method="persample"`` (no
+timing gate; ``bench_to_json --suite montecarlo`` gates its cost).
 """
 
 import time
@@ -131,6 +133,32 @@ def _fused_vs_persample(graph_kwargs, samples, reps=3):
     return loop_s / fused_s, samples / fused_s, samples / loop_s
 
 
+#: The criticality smoke: a small chorded ring, every border on the
+#: ring, so each sample backtracks several winning walks.
+CRITICALITY = dict(stages=120, tokens=6, chords=30, seed=5)
+CRITICALITY_SAMPLES = 40
+
+
+def _criticality_matches_persample():
+    """Batched criticality equals the per-sample loop's, samples too."""
+    graph = ring_with_chords(**CRITICALITY)
+    runs = [
+        monte_carlo_cycle_time(
+            graph, SPREAD, samples=CRITICALITY_SAMPLES, seed=0,
+            track_criticality=True, method=method,
+        )
+        for method in ("batch", "persample")
+    ]
+    return (
+        np.array_equal(runs[0].samples, runs[1].samples)
+        and runs[0].criticality == runs[1].criticality
+    )
+
+
+def test_criticality_matches_persample():
+    assert _criticality_matches_persample()
+
+
 def test_chunked_sweep_matches_and_stays_fast():
     """Chunking bounds memory without giving up the vectorized win."""
     graph = _graph(100)
@@ -187,7 +215,13 @@ def main(argv=None):
         print("FAIL: fused sweep below %.0fx the per-sample loop"
               % HEADLINE_MIN_SPEEDUP)
         return 1
-    print("PASS: fused >= %.0fx per-sample" % HEADLINE_MIN_SPEEDUP)
+    if not _criticality_matches_persample():
+        print("FAIL: batched criticality differs from the per-sample loop")
+        return 1
+    print("PASS: fused >= %.0fx per-sample; criticality @ n=%d, S=%d "
+          "equals the per-sample loop's"
+          % (HEADLINE_MIN_SPEEDUP, CRITICALITY["stages"],
+             CRITICALITY_SAMPLES))
     return 0
 
 

@@ -20,7 +20,9 @@ scaling-suite graphs and writes ``BENCH_cycle_time.json``.
 the fused vectorized sweep (in-process and on the shared-memory
 process pool) vs the per-sample rebind loop across graph sizes and
 batch widths, verifies all paths produce bit-identical λ samples, and
-writes ``BENCH_montecarlo.json``.
+writes ``BENCH_montecarlo.json``; its ``criticality_gate`` block times
+``track_criticality=True`` against λ-only per sample at n=800 and
+fails above :data:`MC_CRIT_MAX_RATIO`.
 
 ``service`` times the ``repro.service`` layer — cold compiles vs
 warm content-addressed cache resolutions (adopt and delay-rebind
@@ -104,6 +106,11 @@ MC_REPS = 3
 MC_GATE_STAGES = 800
 MC_GATE_SAMPLES = 1000
 MC_GATE_MIN_SPEEDUP = 250.0
+#: the criticality gate: a criticality sample costs at most this many
+#: λ-only samples at n=800, b=8 (ROADMAP item 3), at each width S.
+MC_CRIT_GRAPH = dict(stages=800, tokens=8, chords=80, seed=3)
+MC_CRIT_SAMPLES = (10, 64)
+MC_CRIT_MAX_RATIO = 10.0
 
 SCALE_WORKERS = (1, 2, 4)
 SCALE_STORM_S = 2.0
@@ -264,6 +271,56 @@ def measure_fused_gate(stages=MC_GATE_STAGES, samples=MC_GATE_SAMPLES,
     }
 
 
+def measure_criticality_gate(graph_kwargs=MC_CRIT_GRAPH,
+                             widths=MC_CRIT_SAMPLES):
+    """Criticality vs λ-only Monte-Carlo cost per sample at n=800.
+
+    Both sides time the whole ``monte_carlo_cycle_time`` call (draw,
+    λ sweep, and for criticality the batched backtracking), best of
+    :data:`MC_REPS` after :data:`MC_WARMUP` runs, at each width.  One
+    ``method="persample"`` run per width is the reference: samples and
+    ``criticality`` must be identical.
+    """
+    graph = ring_with_chords(**graph_kwargs)
+    sampler = uniform_spread(0.1)
+
+    def run(samples, track, method="batch"):
+        return monte_carlo_cycle_time(
+            graph, sampler, samples=samples, seed=0,
+            track_criticality=track, method=method,
+        )
+
+    rows = []
+    for samples in widths:
+        for _ in range(MC_WARMUP):
+            run(samples, True)
+            run(samples, False)
+        crit = best_of(lambda: run(samples, True), reps=MC_REPS)
+        lam = best_of(lambda: run(samples, False), reps=MC_REPS)
+        reference = run(samples, True, "persample")
+        got = run(samples, True)
+        rows.append({
+            "samples": samples,
+            "criticality_ms_per_sample": 1e3 * crit / samples,
+            "lambda_only_ms_per_sample": 1e3 * lam / samples,
+            "ratio": crit / lam,
+            "identical": bool(
+                np.array_equal(got.samples, reference.samples)
+                and got.criticality == reference.criticality
+            ),
+        })
+    return {
+        "graph": "ring_with_chords(%d, %d, chords=%d, seed=%d)" % (
+            graph_kwargs["stages"], graph_kwargs["tokens"],
+            graph_kwargs["chords"], graph_kwargs["seed"],
+        ),
+        "timed": "monte_carlo_cycle_time end to end, track_criticality "
+                 "True vs False, best of %d" % MC_REPS,
+        "max_ratio": MC_CRIT_MAX_RATIO,
+        "rows": rows,
+    }
+
+
 def run_montecarlo_suite(sizes, batches, output, fused_gate=False):
     rows = []
     for stages in sizes:
@@ -340,6 +397,26 @@ def run_montecarlo_suite(sizes, batches, output, fused_gate=False):
         if not gate["identical"]:
             print("FAIL: fused sweep diverged from the per-sample loop")
             failed = True
+        crit = measure_criticality_gate()
+        document["criticality_gate"] = crit
+        for row in crit["rows"]:
+            print(
+                "criticality gate n=%d S=%d: %.2f ms/sample vs λ-only "
+                "%.3f ms/sample (%.1fx, need <= %.0fx)  identical=%s"
+                % (
+                    MC_CRIT_GRAPH["stages"], row["samples"],
+                    row["criticality_ms_per_sample"],
+                    row["lambda_only_ms_per_sample"], row["ratio"],
+                    MC_CRIT_MAX_RATIO, row["identical"],
+                )
+            )
+            if row["ratio"] > MC_CRIT_MAX_RATIO:
+                print("FAIL: criticality above %.0fx λ-only per sample"
+                      % MC_CRIT_MAX_RATIO)
+                failed = True
+            if not row["identical"]:
+                print("FAIL: criticality diverged from the per-sample loop")
+                failed = True
     with open(output, "w") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")

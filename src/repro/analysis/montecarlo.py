@@ -14,11 +14,14 @@ Since the batched kernel rework the S sampled bindings advance
 through one compiled arc program in lockstep
 (:func:`~repro.core.kernel.run_border_simulations_batch`): the sampled
 delays form one ``(S, m)`` matrix, λ per sample falls out of a
-vectorized max, and critical cycles are backtracked lazily — only when
-``track_criticality`` is on, and then only for the winning border
-simulation of each sample.  ``method="persample"`` keeps the original
-rebind-per-trial loop as the executable reference; both methods
-consume the same sampled matrix and produce bit-identical λ samples.
+vectorized max, and critical cycles are backtracked only when
+``track_criticality`` is on — for every sample in one call
+(:meth:`~repro.core.kernel.BatchSweepResult.critical_cycles`), which
+re-sweeps the samples once with their slot times recorded and follows
+each sample's winning walks back through them.  ``method="persample"``
+keeps the original rebind-per-trial loop as the executable reference;
+both methods consume the same sampled matrix and produce bit-identical
+λ samples and critical cycles.
 
 Sampling uses ``numpy.random.Generator`` with an explicit seed for
 reproducibility.  One sampler call draws a whole sweep as a
@@ -32,12 +35,14 @@ element-wise fallback that keeps the same arc-major order.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.cycle_time import compute_cycle_time
+from ..core.cycles import cycle_pairs
 from ..core.errors import GraphConstructionError, SignalGraphError
 from ..core.kernel import (
     BatchBindings,
@@ -274,15 +279,12 @@ def monte_carlo_cycle_time(
         for arc in graph.arcs
         if arc.source in repetitive and arc.target in repetitive
     }
+    # Samples count per distinct critical-cycle set, so each set is
+    # mapped to its arc pairs once, however many samples share it.
+    cycle_sets: Counter = Counter()
 
     def attribute(critical_cycles) -> None:
-        seen = set()
-        for cycle in critical_cycles:
-            for cycle_arc in cycle.arcs(graph):
-                seen.add(cycle_arc.pair)
-        for pair in seen:
-            if pair in hits:
-                hits[pair] += 1
+        cycle_sets[tuple(cycle.events for cycle in critical_cycles)] += 1
 
     if method == "batch":
         sweep = run_border_simulations_batch(
@@ -294,8 +296,8 @@ def monte_carlo_cycle_time(
         )
         values = sweep.cycle_times()
         if track_criticality:
-            for index in range(samples):
-                attribute(sweep.sample_result(index).critical_cycles)
+            for cycles in sweep.critical_cycles():
+                attribute(cycles)
     else:
         pairs = [arc.pair for arc in graph.arcs]
         values = np.empty(samples)
@@ -314,6 +316,13 @@ def monte_carlo_cycle_time(
             values[index] = float(result.cycle_time)
             if track_criticality:
                 attribute(result.critical_cycles)
+    for cycle_set, count in cycle_sets.items():
+        seen = set()
+        for events in cycle_set:
+            seen.update(cycle_pairs(events))
+        for pair in seen:
+            if pair in hits:
+                hits[pair] += count
     criticality = (
         {pair: count / samples for pair, count in hits.items()}
         if track_criticality

@@ -304,23 +304,33 @@ def _backtrack_critical_cycles(
 
 
 def _simple_sub_cycles(graph: TimedSignalGraph, events: Sequence[Event]) -> List[Cycle]:
-    """Decompose a closed projected walk into simple cycles.
+    """Decompose a closed projected walk into simple cycles."""
+    return [make_cycle(graph, loop) for loop in _simple_loops(events)]
 
-    Walks the event sequence with a stack; whenever an event repeats,
-    the enclosed loop is popped off as one simple cycle.
+
+def _simple_loops(walk: Sequence) -> List[list]:
+    """The simple loops of a closed walk, in the order they close.
+
+    Walks the sequence with a stack; whenever an item repeats, the
+    enclosed loop is popped off as one simple loop.  Items may be
+    events or any other hashable stand-in for them (the batch
+    backtracker passes dense event ids).
     """
-    cycles: List[Cycle] = []
-    stack: List[Event] = []
-    position: Dict[Event, int] = {}
-    for event in events:
-        if event in position:
-            start = position[event]
+    if walk and walk[0] == walk[-1] and len(set(walk)) == len(walk) - 1:
+        # the common case, a walk once around one simple cycle
+        return [list(walk[:-1])]
+    loops: List[list] = []
+    stack: list = []
+    position: Dict[object, int] = {}
+    for item in walk:
+        if item in position:
+            start = position[item]
             loop = stack[start:]
             if loop:
-                cycles.append(make_cycle(graph, loop))
+                loops.append(loop)
             for removed in loop:
                 del position[removed]
             del stack[start:]
-        position[event] = len(stack)
-        stack.append(event)
-    return cycles
+        position[item] = len(stack)
+        stack.append(item)
+    return loops

@@ -63,8 +63,17 @@ class Cycle:
 
     def arcs(self, graph: TimedSignalGraph) -> List[Arc]:
         """The arcs of the cycle, in path order."""
-        pairs = zip(self.events, self.events[1:] + self.events[:1])
-        return [graph.arc(source, target) for source, target in pairs]
+        return [
+            graph.arc(source, target)
+            for source, target in cycle_pairs(self.events)
+        ]
+
+
+def cycle_pairs(events: Sequence[Event]) -> List[Tuple[Event, Event]]:
+    """The ``(source, target)`` arc pairs of a closed event sequence,
+    in path order, the closing arc last."""
+    events = tuple(events)
+    return list(zip(events, events[1:] + events[:1]))
 
 
 def canonical_rotation(events: Sequence[Event]) -> Tuple[Event, ...]:
@@ -74,17 +83,26 @@ def canonical_rotation(events: Sequence[Event]) -> Tuple[Event, ...]:
     return tuple(events[start:]) + tuple(events[:start])
 
 
+def cycle_arcs(
+    graph: TimedSignalGraph, events: Sequence[Event]
+) -> Tuple[Tuple[Event, ...], List[Arc]]:
+    """A cycle's events in canonical rotation and its arcs in that
+    path order: everything of a :class:`Cycle` but the length sum."""
+    events = canonical_rotation(list(events))
+    arcs = [graph.arc(source, target) for source, target in cycle_pairs(events)]
+    return events, arcs
+
+
 def make_cycle(graph: TimedSignalGraph, events: Sequence[Event]) -> Cycle:
     """Build a :class:`Cycle` from an event sequence, computing length
     and tokens from the graph's arcs."""
-    events = canonical_rotation(list(events))
+    events, arcs = cycle_arcs(graph, events)
     length: Number = 0
     tokens = 0
-    for source, target in zip(events, events[1:] + events[:1]):
-        arc = graph.arc(source, target)
+    for arc in arcs:
         length = length + arc.delay
         tokens += arc.tokens
-    return Cycle(tuple(events), length, tokens)
+    return Cycle(events, length, tokens)
 
 
 def simple_cycles(graph: TimedSignalGraph) -> Iterator[Cycle]:

@@ -83,12 +83,15 @@ sweep additionally
   calls.
 
 λ per binding falls out of one vectorized max over the collected
-border distances.  Critical-cycle backtracking stays lazy and
-per-sample (:meth:`BatchSweepResult.sample_result`), so bindings whose
-critical cycle is never requested pay nothing for it.  The sweep is
-bit-identical to S independent :func:`rebind_compiled` + single-kernel
-float runs (same IEEE additions and maxima, different loop order
-only).
+border distances.  Critical cycles are backtracked only for the
+bindings that ask (:meth:`BatchSweepResult.critical_cycles`): one
+re-sweep of those bindings records every period's slot times, each
+recorded instance gets its argmax predecessor in a few vector ops, and
+the winning walks are followed through that plane for all of them at
+once.  The sweep is bit-identical to S independent
+:func:`rebind_compiled` + single-kernel float runs (same IEEE additions
+and maxima, different loop order only), so the recovered cycles are
+the per-sample path's.
 
 Fused programs are compiled once per topology, cached on the
 :class:`_BatchStructure` (itself carried across the service layer's
@@ -785,9 +788,13 @@ class _SharedMatrix:
 
     Created once per process-executor sweep; chunks ship only the
     block *name* plus a ``(lo, hi)`` row range, so chunk dispatch never
-    pickles the matrix.  The parent closes + unlinks the block in the
-    sweep's ``finally`` (and, crash-safe, at interpreter exit via the
-    module registry).
+    pickles the matrix.  The block is F-ordered, the arc-major layout
+    :func:`~repro.analysis.montecarlo.sample_delay_matrix` draws: the
+    drawn matrix is copied in without a transpose, and a child's row
+    range ``full[lo:hi]`` keeps a unit-stride sample axis, which
+    :class:`BatchBindings` reads in place.  The parent closes + unlinks
+    the block in the sweep's ``finally`` (and, crash-safe, at
+    interpreter exit via the module registry).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -803,7 +810,7 @@ class _SharedMatrix:
         self.name = self._shm.name
         self.shape = matrix.shape
         view = np.ndarray(matrix.shape, dtype=np.float64,
-                          buffer=self._shm.buf)
+                          buffer=self._shm.buf, order="F")
         view[:] = matrix
         del view
         with _SHM_LOCK:
@@ -852,8 +859,8 @@ def _child_attach_matrix(name: str, shape: Tuple[int, int], untrack: bool):
     so the attach-side registration is withdrawn.  Fork workers share
     the parent's tracker — there the attach-side registration collapses
     into the parent's own and must be left alone.  Returns
-    ``(array, shm)``; the caller must drop every view before closing
-    ``shm``.
+    ``(array, shm)``, the array F-ordered like the parent's block; the
+    caller must drop every view before closing ``shm``.
     """
     from multiprocessing import shared_memory
 
@@ -865,7 +872,8 @@ def _child_attach_matrix(name: str, shape: Tuple[int, int], untrack: bool):
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:
             pass
-    return np.ndarray(shape, dtype=np.float64, buffer=shm.buf), shm
+    full = np.ndarray(shape, dtype=np.float64, buffer=shm.buf, order="F")
+    return full, shm
 
 
 def _pool_run_chunk(
@@ -887,9 +895,9 @@ def _pool_run_chunk(
     most once per (worker, token) and memoised, so a sweep split into
     many chunks pays the rebuild cost once per worker, not per chunk.
     The delay rows come from the parent's shared-memory sweep block
-    (``shm_name``; a contiguous zero-copy row slice) — ``matrix`` is
-    only populated on the pickling fallback path for platforms without
-    working shared memory.
+    (``shm_name``; a zero-copy row slice with a unit-stride sample
+    axis) — ``matrix`` is only populated on the pickling fallback path
+    for platforms without working shared memory.
     """
     cg = _CHILD_COMPILED.get(token)
     if cg is None:
@@ -994,9 +1002,11 @@ class _BatchStructure:
             p1_rows.append((n + tid, arcs_one))
             ps_rows.append((n + tid, arcs_steady))
         self.n = n
+        self.col_of = col_of
         self._p1_rows = p1_rows
         self._ps_rows = ps_rows
         self._fused_plans: Dict[int, "_FusedPlan"] = {}
+        self._walk_tables: Optional[Tuple["_WalkTable", ...]] = None
         self._lock = threading.Lock()
 
     def fused_plan(self, span: int) -> "_FusedPlan":
@@ -1011,6 +1021,15 @@ class _BatchStructure:
                         plan = _FusedPlan(self, span)
                     self._fused_plans[span] = plan
         return plan
+
+    def walk_tables(self) -> Tuple["_WalkTable", ...]:
+        """The (period 0, period 1, steady) argmax tables (built once)."""
+        if self._walk_tables is None:
+            self._walk_tables = tuple(
+                _WalkTable(rows, self.n)
+                for rows in (self._p0_rows, self._p1_rows, self._ps_rows)
+            )
+        return self._walk_tables
 
 
 def _batch_structure_of(cg: CompiledGraph) -> _BatchStructure:
@@ -1040,8 +1059,9 @@ class BatchBindings:
     exposed as :attr:`pairs`).  Row ``s`` is one complete delay
     binding — the batched equivalent of ``graph.copy()`` + S
     ``set_delay`` calls + :func:`rebind_compiled`, at a fraction of
-    the cost.  A C- or F-contiguous float64 matrix is kept as given
-    (no copy); the F-ordered transposed view that
+    the cost.  A float64 matrix that is C-contiguous, or whose sample
+    axis is unit-stride (an F-ordered matrix, or a row range of one),
+    is kept as given (no copy); the F-ordered transposed view that
     :func:`~repro.analysis.montecarlo.sample_delay_matrix` returns makes
     every per-program delay gather a contiguous row gather.  Other
     layouts are copied to C order.
@@ -1051,7 +1071,10 @@ class BatchBindings:
         self.base = base
         self.structure = _batch_structure_of(base)
         matrix = np.asarray(matrix, dtype=np.float64)
-        if not (matrix.flags.c_contiguous or matrix.flags.f_contiguous):
+        if not (
+            matrix.flags.c_contiguous
+            or (matrix.ndim == 2 and matrix.strides[0] == matrix.itemsize)
+        ):
             matrix = np.ascontiguousarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.structure.pairs):
             raise SignalGraphError(
@@ -1407,6 +1430,7 @@ def run_border_sweep_fused(
     origin_ids: Sequence[int],
     periods: int,
     unroll: Optional[int] = None,
+    record: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """All border-initiated batch simulations as one fused sweep.
 
@@ -1425,6 +1449,12 @@ def run_border_sweep_fused(
     level that wrote it, before any later level reads it — which
     reproduces the per-origin suffix semantics of the scalar kernel
     exactly.  Origins must be repetitive (border) events.
+
+    ``record``, when given, is a ``(periods + 1, n, b * S)`` array that
+    receives every period's frame once the period is computed (frame 0
+    after the period-0 levels and pins): the slot times critical-cycle
+    backtracking reads.  Non-repetitive rows of periods >= 1 hold
+    stale values there, as in the ring.
     """
     structure = bindings.structure
     n = structure.n
@@ -1452,6 +1482,8 @@ def run_border_sweep_fused(
             _run_fused_level(level, dmat_t, buffer, workspace, stack)
             for gi, origin_id in pins.get(index, ()):
                 buffer[origin_id, gi * samples:(gi + 1) * samples] = 0.0
+        if record is not None:
+            record[0] = buffer[:n]
 
         def collect(period: int) -> None:
             base = (period % frames) * n
@@ -1459,6 +1491,8 @@ def run_border_sweep_fused(
                 out[gi, :, period - 1] = buffer[
                     base + origin_id, gi * samples:(gi + 1) * samples
                 ]
+            if record is not None:
+                record[period] = buffer[base:base + n]
 
         def run_span(program: _FusedProgram, first_period: int) -> None:
             started = time.perf_counter() if profiler is not None else 0.0
@@ -1485,22 +1519,202 @@ def run_border_sweep_fused(
     return [out[gi] for gi in range(stack)]
 
 
+#: Bytes of recorded slot times (float64) one critical-cycle
+#: backtracking chunk may hold; its int32 argmax plane takes half as
+#: much again.  Criticality over more bindings than fit re-sweeps them
+#: chunk by chunk, so its memory does not grow with the sample count.
+RECORD_BUDGET = 32 << 20
+
+
+class _WalkTable:
+    """One period class's in-arc rows, laid out for argmax recovery.
+
+    Rows with a single in-arc need no comparison: a defined instance
+    equals its only candidate.  Rows with more are degree-sorted with
+    their arcs laid out j-major, as in a fused level, so the rows
+    still having a j-th arc are rows ``0 .. count-1``.  Offsets are
+    rolling-buffer offsets: in period ``p`` they address slot
+    ``offset + (p - 1) * n``.  Rows without in-arcs, and ids outside
+    the class, have no predecessor.
+    """
+
+    __slots__ = ("single_ids", "single_offsets", "multi_ids", "steps")
+
+    def __init__(self, rows, n: int):
+        single = [(target - n, arcs[0][0]) for target, arcs in rows
+                  if len(arcs) == 1]
+        multi = sorted(
+            (row for row in rows if len(row[1]) > 1),
+            key=lambda row: -len(row[1]),
+        )
+        self.single_ids = np.asarray([tid for tid, _ in single], np.intp)
+        self.single_offsets = np.asarray(
+            [offset for _, offset in single], np.intp
+        )
+        self.multi_ids = np.asarray([target - n for target, _ in multi],
+                                    np.intp)
+        self.steps: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        for j in range(len(multi[0][1]) if multi else 0):
+            arcs = [row_arcs[j] for _, row_arcs in multi if len(row_arcs) > j]
+            self.steps.append((
+                len(arcs),
+                np.asarray([offset for offset, _ in arcs], np.intp),
+                np.asarray([col for _, col in arcs], np.intp),
+            ))
+
+
+def _argmax_plane(
+    tables: Sequence[_WalkTable],
+    record: np.ndarray,
+    dmat_t: np.ndarray,
+    groups: int,
+) -> np.ndarray:
+    """The argmax predecessor of every recorded instance.
+
+    ``record`` holds a recording sweep's ``(frames, n, groups * c)``
+    slot times and ``dmat_t`` the ``(m, c)`` transposed delays of its
+    ``c`` bindings.  A row's predecessor is its *first* in-arc whose
+    recorded source time plus delay equals the recorded target time —
+    :func:`argmax_slot`'s rule, on the sweep's own IEEE sums, so it
+    picks the arc the per-sample kernel picks.
+
+    Returns an int32 ``(frames * n + 1, width)`` plane whose cell
+    ``(slot, column)`` holds the flat index ``pred * width + column``
+    of its predecessor's cell, or ``-1``; the extra last row is all
+    ``-1``, so the flat index ``-1`` leads back to ``-1``.
+    """
+    frames, n, width = record.shape
+    times = record.reshape(frames * n, width)
+    plane = np.full((frames * n + 1, width), -1, dtype=np.int32)
+    lanes = np.arange(width, dtype=np.intp)
+    for period in range(frames):
+        table = tables[min(period, 2)]
+        shift = (period - 1) * n
+        base = period * n
+        if table.single_ids.size:
+            plane[table.single_ids + base] = (
+                (table.single_offsets + shift) * width
+            )[:, None] + lanes
+        if not table.steps:
+            continue
+        targets = times[table.multi_ids + base]
+        found = np.full(targets.shape, -1, dtype=np.int32)
+        for j, (count, offsets, cols) in enumerate(table.steps):
+            sources = offsets + shift
+            candidates = times[sources]
+            candidates.reshape(count, groups, -1)[...] += (
+                dmat_t[cols][:, None, :]
+            )
+            hit = candidates == targets[:count]
+            if j:
+                hit &= found[:count] < 0
+            np.copyto(found[:count], (sources * width)[:, None] + lanes,
+                      where=hit)
+        plane[table.multi_ids + base] = found
+    return plane
+
+
+def _chase(plane: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Follow ``plane`` from every start cell (flat index) at once.
+
+    Returns a ``(k, steps)`` int32 array: row ``i`` lists the flat
+    cell indices of walk ``i`` from its start back to its origin, then
+    ``-1`` padding.
+    """
+    flat = plane.reshape(-1)
+    current = starts.astype(np.int32)
+    trail = [current]
+    while True:
+        # a finished walk sits on -1, which maps to itself, so the
+        # end check can run every few steps
+        for _ in range(8):
+            current = flat[current]
+            trail.append(current)
+        if current.max() < 0:
+            break
+    return np.stack(trail, axis=1)
+
+
+class _Cycles:
+    """The walks and simple loops one backtracking call has met.
+
+    A walk is keyed by its slot sequence, so a walk repeated by many
+    bindings is decomposed once per chunk (the keys are dropped between
+    chunks, so they do not pile up with the sample count); a loop is
+    keyed by its id sequence rotated to its smallest id, so the
+    rotations that walks from different borders produce share one
+    entry, which holds the loop's canonical events, token count and
+    matrix columns.
+    """
+
+    def __init__(self, graph: TimedSignalGraph, cg: CompiledGraph,
+                 col_of: Dict[Tuple[Event, Event], int]):
+        self.graph = graph
+        self.order = cg.order
+        self.n = cg.n
+        self.col_of = col_of
+        self.walks: Dict[bytes, List[int]] = {}
+        self._loops: Dict[tuple, int] = {}
+        self.events: List[Tuple[Event, ...]] = []
+        self.tokens: List[int] = []
+        self.cols: List[np.ndarray] = []
+
+    def loops_of(self, path: np.ndarray) -> List[int]:
+        """Loop ids of one walk (slots from its end back to the origin)."""
+        key = path.tobytes()
+        loops = self.walks.get(key)
+        if loops is None:
+            from .cycle_time import _simple_loops
+
+            loops = [
+                self._loop_id(loop)
+                for loop in _simple_loops((path[::-1] % self.n).tolist())
+            ]
+            self.walks[key] = loops
+        return loops
+
+    def _loop_id(self, loop: list) -> int:
+        start = loop.index(min(loop))
+        key = tuple(loop[start:] + loop[:start])
+        found = self._loops.get(key)
+        if found is None:
+            from .cycles import cycle_arcs
+
+            events, arcs = cycle_arcs(
+                self.graph, [self.order[tid] for tid in key]
+            )
+            found = self._loops[key] = len(self.events)
+            self.events.append(events)
+            tokens = 0
+            for arc in arcs:
+                tokens += arc.tokens
+            self.tokens.append(tokens)
+            self.cols.append(np.asarray(
+                [self.col_of[arc.pair] for arc in arcs], np.intp
+            ))
+        return found
+
+
 class BatchSweepResult:
     """Outcome of a batched border sweep over S delay bindings.
 
     ``initiator_times[g]`` is the ``(S, periods)`` table of collected
     ``t_{g_0}(g_i)`` values; everything else — λ per binding, δ
-    records, critical cycles — is derived lazily so bindings whose
+    records, critical cycles — is derived on request, so bindings whose
     details are never inspected cost nothing beyond the sweep itself.
+    ``unroll`` is the sweep's unroll override, so backtracking re-sweeps
+    with the plan the sweep compiled.
     """
 
-    def __init__(self, graph, cg, bindings, border, periods, initiator_times):
+    def __init__(self, graph, cg, bindings, border, periods, initiator_times,
+                 unroll=None):
         self.graph = graph
         self.cg = cg
         self.bindings = bindings
         self.border = border
         self.periods = periods
         self.initiator_times = initiator_times
+        self.unroll = unroll
 
     @property
     def samples(self) -> int:
@@ -1508,13 +1722,24 @@ class BatchSweepResult:
 
     def cycle_times(self) -> np.ndarray:
         """λ per binding: the vectorized max over all collected δ."""
+        return self._best(self._distances(slice(None)))
+
+    def _distances(self, rows) -> List[np.ndarray]:
+        """Each border's ``(k, periods)`` δ table over the bindings
+        ``rows`` (``-inf`` where its initiator does not re-occur)."""
+        divisors = np.arange(1, self.periods + 1, dtype=np.float64)
+        return [
+            self.initiator_times[event][rows] / divisors
+            for event in self.border
+        ]
+
+    def _best(self, distances: List[np.ndarray]) -> np.ndarray:
+        """λ per binding: the max over every border's δ table."""
         from .errors import AcyclicGraphError
 
-        divisors = np.arange(1, self.periods + 1, dtype=np.float64)
-        best = np.full(self.samples, NEG_INF)
-        for event in self.border:
-            distances = self.initiator_times[event] / divisors
-            np.maximum(best, distances.max(axis=1), out=best)
+        best = distances[0].max(axis=1)
+        for table in distances[1:]:
+            np.maximum(best, table.max(axis=1), out=best)
         if np.isneginf(best).any():
             raise AcyclicGraphError(
                 "no border event of %r re-occurs within %d periods"
@@ -1540,60 +1765,156 @@ class BatchSweepResult:
                 )
         return records
 
-    def sample_graph(self, sample: int) -> TimedSignalGraph:
-        """A graph copy carrying binding ``sample``'s delays, rebound
-        to the shared compiled topology."""
-        trial = self.graph.copy()
-        for pair, value in zip(self.bindings.pairs, self.bindings.matrix[sample]):
-            trial.set_delay(pair[0], pair[1], float(value))
-        rebind_compiled(trial, self.cg)
-        return trial
-
-    def sample_result(self, sample: int, keep_simulations: bool = False):
+    def sample_result(self, sample: int):
         """The full :class:`~repro.core.cycle_time.CycleTimeResult` of
         one binding — λ, δ table and backtracked critical cycles —
-        bit-identical to the per-sample float64 path.
+        bit-identical to the per-sample float64 path (which also keeps
+        no simulations)."""
+        from .cycle_time import CycleTimeResult
 
-        This is the lazy backtracking hook: it re-runs only the
-        *winning* border simulations of the requested binding against
-        a rebound graph copy, so a sweep that inspects criticality for
-        a handful of samples never pays for the rest.
-        """
-        from .arithmetic import numbers_close
-        from .cycle_time import (
-            CycleTimeResult,
-            _backtrack_critical_cycles,
-        )
-        from .errors import AcyclicGraphError
-        from .simulation import EventInitiatedSimulation
-
+        (cycles,) = self.critical_cycles([sample])
         records = self.sample_records(sample)
-        best = None
-        for record in records:
-            if best is None or record.distance > best:
-                best = record.distance
-        if best is None:
-            raise AcyclicGraphError(
-                "no border event of %r re-occurs within %d periods"
-                % (self.graph.name, self.periods)
-            )
-        winners = [r for r in records if numbers_close(r.distance, best)]
-        trial = self.sample_graph(sample)
-        simulations = {}
-        for record in winners:
-            if record.border_event not in simulations:
-                simulations[record.border_event] = EventInitiatedSimulation(
-                    trial, record.border_event, self.periods, kernel="float"
-                )
-        cycles = _backtrack_critical_cycles(trial, simulations, winners, best)
         return CycleTimeResult(
-            cycle_time=best,
+            cycle_time=max(record.distance for record in records),
             critical_cycles=cycles,
             border_events=self.border,
             distances=records,
             periods=self.periods,
-            simulations=simulations if keep_simulations else {},
         )
+
+    def _winning_periods(self, rows: np.ndarray):
+        """λ of each binding in ``rows`` and each border's first winning
+        period (0 for none), as ``(best (k,), won (b, k))``.
+
+        A record wins when its distance is ``numbers_close`` to λ, the
+        per-sample rule, here as the same IEEE operations on arrays.
+        """
+        from .arithmetic import FLOAT_TOLERANCE
+
+        distances = self._distances(rows)
+        best = self._best(distances)
+        column = best[:, None]
+        floor = np.maximum(1.0, np.abs(column))
+        won = np.zeros((len(self.border), len(rows)), dtype=np.intp)
+        positions = np.arange(len(rows))
+        for gi, table in enumerate(distances):
+            scale = np.maximum(floor, np.abs(table))
+            close = np.isfinite(table) & (
+                np.abs(table - column) <= FLOAT_TOLERANCE * scale
+            )
+            first = close.argmax(axis=1)
+            won[gi] = np.where(close[positions, first], first + 1, 0)
+        return best, won
+
+    def critical_cycles(
+        self, samples: Optional[Sequence[int]] = None
+    ) -> List[list]:
+        """The backtracked critical cycles of each requested binding
+        (default: all), one list of :class:`~repro.core.cycles.Cycle`
+        per binding, equal to the per-sample float path's in events,
+        length, tokens and order.
+
+        The winners are the per-sample algorithm's: every record within
+        ``numbers_close`` of λ, and one walk per border — its first
+        winning period — in record order.  The requested bindings are
+        re-swept through the fused plan with the winning origins only,
+        recording every period's slot times (chunked so a record stays
+        within :data:`RECORD_BUDGET` bytes).  The argmax plane of the
+        record is a few vector ops per period, and all winning walks
+        are followed through it at once.  A walk met before is not
+        decomposed again, and each distinct simple loop gets its
+        rotation, columns and token count once; its length for one
+        binding is the float sum ``0 + d1 + d2 + ...`` of that
+        binding's delays in rotated order, which is what
+        :func:`~repro.core.cycles.make_cycle` adds up on a graph copy.
+        """
+        rows = (
+            np.arange(self.samples) if samples is None
+            else np.asarray(samples, dtype=np.intp).reshape(-1)
+        )
+        per_sample = (self.periods + 1) * self.cg.n * len(self.border) * 8
+        chunk = max(1, RECORD_BUDGET // per_sample)
+        cycles = _Cycles(self.graph, self.cg, self.bindings.structure.col_of)
+        out: List[list] = []
+        for lo in range(0, len(rows), chunk):
+            cycles.walks.clear()
+            out.extend(self._backtrack(rows[lo:lo + chunk], cycles))
+        return out
+
+    def _backtrack(self, rows: np.ndarray, cycles: _Cycles) -> List[list]:
+        """:meth:`critical_cycles` for one chunk of bindings."""
+        from .arithmetic import numbers_close
+        from .cycles import Cycle
+
+        best, won = self._winning_periods(rows)
+        cg = self.cg
+        n = cg.n
+        count = len(rows)
+        active = [gi for gi in range(len(self.border)) if won[gi].any()]
+        won = won[active]
+        origins = np.asarray(
+            [cg.id_of[self.border[gi]] for gi in active], np.intp
+        )
+        lo = int(rows[0])
+        if np.array_equal(rows, np.arange(lo, lo + count)):
+            bindings = self.bindings.subset(lo, lo + count)
+        else:
+            matrix = np.asfortranarray(self.bindings.matrix[rows])
+            bindings = BatchBindings(self.bindings.base, matrix)
+        record = np.empty((self.periods + 1, n, len(active) * count))
+        run_border_sweep_fused(
+            bindings, origins.tolist(), self.periods,
+            _resolve_unroll(self.unroll, len(self.border), self.periods),
+            record=record,
+        )
+        dmat_t = bindings.matrix.T
+        plane = _argmax_plane(
+            bindings.structure.walk_tables(), record, dmat_t, len(active)
+        )
+        del record
+        for group, origin in enumerate(origins):
+            # each walk ends at its own origin, pinned at time 0
+            plane[origin, group * count:(group + 1) * count] = -1
+        # winning walks, binding-major and in border order within one
+        position, group = np.nonzero(won.T)
+        period = won[group, position]
+        width = plane.shape[1]
+        cells = _chase(
+            plane,
+            (origins[group] + period * n) * width + group * count + position,
+        )
+        del plane
+        lengths = (cells >= 0).sum(axis=1)
+        paths = cells // width
+
+        loops_of: List[List[int]] = [[] for _ in range(count)]
+        users: Dict[int, List[int]] = {}
+        for walk, owner in enumerate(position.tolist()):
+            mine = loops_of[owner]
+            for loop in cycles.loops_of(paths[walk, :lengths[walk]]):
+                if loop not in mine:
+                    mine.append(loop)
+                    users.setdefault(loop, []).append(owner)
+        length_of: Dict[Tuple[int, int], float] = {}
+        for loop, owners in users.items():
+            terms = np.zeros((len(cycles.cols[loop]) + 1, len(owners)))
+            terms[1:] = dmat_t[cycles.cols[loop]][:, owners]
+            sums = np.add.accumulate(terms, axis=0)[-1].tolist()
+            for owner, total in zip(owners, sums):
+                length_of[loop, owner] = total
+
+        out = []
+        for owner, (loops, cycle_time) in enumerate(
+            zip(loops_of, best.tolist())
+        ):
+            found = []
+            for loop in loops:
+                cycle = Cycle(cycles.events[loop], length_of[loop, owner],
+                              cycles.tokens[loop])
+                if numbers_close(cycle.effective_length, cycle_time):
+                    found.append(cycle)
+            out.append(found)
+        return out
 
 
 def run_border_simulations_batch(
@@ -1714,4 +2035,6 @@ def run_border_simulations_batch(
             initiator_times[event] = np.concatenate(
                 [part[position] for part in parts], axis=0
             )
-    return BatchSweepResult(graph, cg, bindings, border, periods, initiator_times)
+    return BatchSweepResult(
+        graph, cg, bindings, border, periods, initiator_times, unroll
+    )

@@ -658,8 +658,9 @@ class AnalysisService:
         )
         deadline.check("pre-compile")
         if track:
-            # Criticality attribution backtracks per sample; no
-            # cross-request batching to exploit.
+            # Criticality attribution backtracks this request's own
+            # samples in one batched pass over a re-sweep of them, so
+            # it runs here, outside the cross-request coalescer.
             deadline.check("pre-dispatch")
             outcome = monte_carlo_cycle_time(
                 graph, sampler, samples=samples, seed=seed,

@@ -7,7 +7,7 @@ compiled arc programs and must agree **bit for bit**: IEEE float64
 addition and maximum produce identical bits regardless of how the
 bindings are laid out, so every λ, every collected δ measurement and
 every backtracked critical cycle must be exactly equal, not merely
-close.
+close (the cycles are checked in ``tests/core/test_kernel_equivalence.py``).
 """
 
 import numpy as np
@@ -16,12 +16,15 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import (
     BatchBindings,
+    EventInitiatedSimulation,
     SignalGraphError,
+    TimedSignalGraph,
     compiled_graph,
     compute_cycle_time,
     rebind_compiled,
     run_border_simulations_batch,
 )
+from repro.core.cycles import make_cycle
 from repro.generators import ring_with_chords
 
 from tests.strategies import live_tsgs
@@ -94,21 +97,6 @@ def test_batch_distance_tables_bit_identical(graph):
 
 @COMMON
 @given(graph=live_tsgs())
-def test_batch_backtracked_cycles_match(graph):
-    clone = _floatified(graph)
-    matrix = _random_matrix(clone, SAMPLES, seed=2)
-    sweep = run_border_simulations_batch(clone, matrix)
-    for index in range(SAMPLES):
-        reference = _per_sample(clone, matrix, index)
-        lazy = sweep.sample_result(index)
-        assert lazy.cycle_time == float(reference.cycle_time)
-        assert sorted(cycle.events for cycle in lazy.critical_cycles) == sorted(
-            cycle.events for cycle in reference.critical_cycles
-        )
-
-
-@COMMON
-@given(graph=live_tsgs())
 def test_chunked_and_threaded_sweeps_identical(graph):
     clone = _floatified(graph)
     matrix = _random_matrix(clone, SAMPLES, seed=3)
@@ -160,3 +148,24 @@ def test_subset_views_share_the_matrix():
         view.matrix.base is not None
         and view.matrix.base is bindings.matrix.base
     )
+
+
+def test_walk_stops_at_its_origin():
+    # a's one period-0 in-arc comes from p, which precedes it in the
+    # period; the walk back from (a, 2) must stop at (a, 0), as the
+    # per-sample critical path does, not run on into the undefined
+    # (p, 0) and pop the loop [p, a, b] instead of the critical one.
+    graph = TimedSignalGraph("origin-with-predecessor")
+    graph.add_arc("a", "b", 1.0)
+    graph.add_arc("b", "p", 1.0, marked=True)
+    graph.add_arc("p", "a", 1.0)
+    graph.add_arc("p", "d", 5.0)
+    graph.add_arc("d", "a", 5.0, marked=True)
+    simulation = EventInitiatedSimulation(graph, "a", 2, kernel="float")
+    assert simulation.critical_path("a", 2)[0] == ("a", 0)
+    matrix = [[float(arc.delay) for arc in graph.arcs]]
+    sweep = run_border_simulations_batch(
+        graph, matrix, border=["a"], periods=2
+    )
+    (cycles,) = sweep.critical_cycles()
+    assert cycles == [make_cycle(graph, ["a", "b", "p", "d"])]

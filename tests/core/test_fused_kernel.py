@@ -7,6 +7,8 @@ must agree **bit for bit** with it.  These tests pin that invariant
 across random topologies, degenerate shapes (b=1, S=1, single-level
 graphs), every unroll span the fused planner can choose, and the plan
 caching that rides along the compile cache's adopt/rebound paths.
+Whole backtracked cycles are checked in the equivalence matrix
+(``tests/core/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -108,21 +110,6 @@ def test_fused_lambda_bit_identical_to_per_sample(graph):
     for index in range(SAMPLES):
         reference = _per_sample(clone, matrix, index, backtrack=False)
         assert lambdas[index] == float(reference.cycle_time)
-
-
-@COMMON
-@given(graph=live_tsgs())
-def test_fused_backtracked_cycles_match_per_sample(graph):
-    clone = _floatified(graph)
-    matrix = _random_matrix(clone, SAMPLES, seed=2)
-    sweep = run_border_simulations_batch(clone, matrix)
-    for index in range(SAMPLES):
-        reference = _per_sample(clone, matrix, index)
-        lazy = sweep.sample_result(index)
-        assert lazy.cycle_time == float(reference.cycle_time)
-        assert sorted(cycle.events for cycle in lazy.critical_cycles) == sorted(
-            cycle.events for cycle in reference.critical_cycles
-        )
 
 
 @COMMON

@@ -12,9 +12,12 @@ random live graphs:
   reference (``rebind_compiled`` + one interpreted float
   ``compute_cycle_time`` per binding, the path
   ``monte_carlo_cycle_time(method="persample")`` runs) bit for bit on
-  every binding — initiator tables, δ records, λ and critical cycles —
-  and match the exact oracle at the graph's own delays to a relative
-  1e-12.
+  every binding — initiator tables, δ records, λ and critical cycles
+  (events, length, tokens and their order) — on random delays and on
+  integer-valued ones, where ties and several winning borders are the
+  rule, and match the exact oracle at the graph's own delays to a
+  relative 1e-12.  The fused tiers recover their cycles through both
+  ``sample_result(i)`` and one all-samples ``critical_cycles()`` call.
 
 IEEE float64 addition and maximum give the same bits however the
 bindings, origins and arcs are laid out, so "close" is never enough.
@@ -67,6 +70,17 @@ def random_matrix(graph, samples, seed):
     return nominal * rng.uniform(0.5, 1.5, size=(samples, len(nominal)))
 
 
+def integer_matrix(graph, samples, seed):
+    """(S, m) integer-valued float delays in 1..3: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, 4, size=(samples, graph.num_arcs)).astype(
+        np.float64
+    )
+
+
+MATRICES = {"random": random_matrix, "integer": integer_matrix}
+
+
 def bound_copy(graph, row):
     """A copy of ``graph`` carrying one binding's delays."""
     trial = graph.copy()
@@ -94,6 +108,11 @@ class Outcome:
     cycles: list
 
 
+def cycle_rows(cycles):
+    """Whole critical cycles, in the order they were found."""
+    return [(cycle.events, cycle.length, cycle.tokens) for cycle in cycles]
+
+
 def outcome_of(result, border) -> Outcome:
     """A per-sample :class:`CycleTimeResult` in :class:`Outcome` form."""
     tables = {
@@ -108,7 +127,7 @@ def outcome_of(result, border) -> Outcome:
             for rec in result.distances
         ],
         cycle_time=float(result.cycle_time),
-        cycles=sorted(cycle.events for cycle in result.critical_cycles),
+        cycles=cycle_rows(result.critical_cycles),
     )
 
 
@@ -135,8 +154,14 @@ def _scalar_float(graph, matrix, warm: bool):
 def _fused(graph, matrix, **kwargs):
     sweep = run_border_simulations_batch(graph, matrix, **kwargs)
     lambdas = sweep.cycle_times()
+    together = sweep.critical_cycles()
     outcomes = []
     for index in range(sweep.samples):
+        alone = sweep.sample_result(index)
+        assert alone.cycle_time == lambdas[index]
+        assert cycle_rows(alone.critical_cycles) == cycle_rows(
+            together[index]
+        )
         outcomes.append(
             Outcome(
                 tables={
@@ -148,10 +173,7 @@ def _fused(graph, matrix, **kwargs):
                     for rec in sweep.sample_records(index)
                 ],
                 cycle_time=float(lambdas[index]),
-                cycles=sorted(
-                    cycle.events
-                    for cycle in sweep.sample_result(index).critical_cycles
-                ),
+                cycles=cycle_rows(together[index]),
             )
         )
     return outcomes
@@ -233,12 +255,19 @@ def assert_same_outcome(got: Outcome, want: Outcome) -> None:
     assert got.cycles == want.cycles
 
 
-@pytest.mark.parametrize("tier", FLOAT_TIERS, ids=_ids(FLOAT_TIERS))
+@pytest.mark.parametrize(
+    "tier, delays",
+    [
+        pytest.param(tier, delays, id=tier.name + suffix)
+        for tier in FLOAT_TIERS
+        for delays, suffix in (("random", ""), ("integer", "-integer"))
+    ],
+)
 @COMMON
 @given(graph=live_tsgs())
-def test_float_tier_matches_per_sample_reference(tier, graph):
+def test_float_tier_matches_per_sample_reference(tier, delays, graph):
     clone = floatified(graph)
-    matrix = random_matrix(clone, SAMPLES, seed=0)
+    matrix = MATRICES[delays](clone, SAMPLES, seed=0)
     outcomes = tier.sweep(clone, matrix)
     assert len(outcomes) == SAMPLES
     for index, got in enumerate(outcomes):

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import repro.core.kernel as kernel_mod
-from repro.analysis.montecarlo import monte_carlo_cycle_time, uniform_spread
+from repro.analysis.montecarlo import (
+    monte_carlo_cycle_time,
+    sample_delay_matrix,
+    uniform_spread,
+)
 from repro.circuits.library import async_stack_tsg, oscillator_tsg
 from repro.core.cycle_time import compute_cycle_time
 from repro.core.errors import SignalGraphError
@@ -157,6 +161,37 @@ class TestCompiledGraphShipping:
             beyond_blob = pickle.dumps(args[2:])
             assert len(beyond_blob) < 2048
             assert matrix.nbytes > 4 * len(beyond_blob)
+
+    def test_child_bindings_read_the_attached_block_in_place(self, stack):
+        # The block is F-ordered like the drawn matrix, so a child's row
+        # range keeps a unit-stride sample axis and BatchBindings reads
+        # it without a copy, giving the tables of a C-ordered copy.
+        matrix = sample_delay_matrix(
+            stack, uniform_spread(0.1), 40, np.random.default_rng(3)
+        )
+        cg = compiled_graph(stack)
+        origins = [cg.id_of[event] for event in stack.border_events]
+        want = run_border_sweep_fused(
+            BatchBindings(cg, np.ascontiguousarray(matrix[8:29])), origins, 3
+        )
+        shared = kernel_mod._SharedMatrix(matrix)
+        try:
+            full, shm = kernel_mod._child_attach_matrix(
+                shared.name, shared.shape, False
+            )
+            try:
+                assert full.flags.f_contiguous
+                bindings = BatchBindings(cg, full[8:29])
+                assert np.shares_memory(bindings.matrix, full)
+                got = run_border_sweep_fused(bindings, origins, 3)
+            finally:
+                bindings = None
+                full = None
+                shm.close()
+        finally:
+            shared.close()
+        for want_table, got_table in zip(want, got):
+            assert np.array_equal(want_table, got_table)
 
     def test_shared_blocks_balanced_and_unlinked(self, stack):
         before = dict(kernel_mod._SHM_STATS)
